@@ -9,8 +9,8 @@
 //! programmer was looking at. The E3 experiment compares this against
 //! the live UPDATE transition.
 
-use alive_core::bigstep::Cost;
 use alive_core::system::{ActionError, System};
+use alive_core::vm::Cost;
 use alive_core::{compile, RuntimeError};
 use alive_syntax::Diagnostics;
 

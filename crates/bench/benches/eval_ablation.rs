@@ -1,69 +1,73 @@
 //! E7 — ablation: the paper-faithful small-step substitution machine
-//! (Fig. 8) vs the production big-step evaluator, on a pure workload
-//! (recursive fib) and a render workload (the gallery page). Measures
-//! the cost of semantic fidelity; correctness agreement is tested in
-//! `tests/semantics_agreement.rs`.
+//! (Fig. 8, the reference semantics) vs the production bytecode VM, on
+//! a pure workload (recursive fib, computed by a page init) and a
+//! render workload (the gallery page). Measures the cost of semantic
+//! fidelity; correctness agreement is tested in
+//! `tests/semantics_agreement.rs` and `crates/core/tests/vm_differential.rs`.
 
 use alive_core::event::EventQueue;
 use alive_core::store::Store;
-use alive_core::{bigstep, compile, smallstep};
+use alive_core::{compile, smallstep, vm};
 use alive_testkit::Bench;
 use std::hint::black_box;
 
 fn main() {
     let mut bench = Bench::from_args("eval_ablation");
 
-    // Pure workload: fib(n).
-    let fib_src = "fun fib(n: number): number pure {
+    // Pure workload: fib(n), stored by the start page's init.
+    let fib_src = "global out : number = 0
+        fun fib(n: number): number pure {
             if n < 2 { n } else { fib(n - 1) + fib(n - 2) }
         }
-        fun main(): number pure { fib(14) }
-        page start() { render { } }";
+        page start() { init { out := fib(14); } render { } }";
     let p = compile(fib_src).expect("compiles");
-    let body = p.fun("main").expect("fun").body.clone();
-    let store = Store::new();
-    bench.bench("bigstep/fib14", || {
-        black_box(bigstep::run_pure(&p, &store, 0, u64::MAX, &body).expect("runs"))
+    let vmp = p.vm().expect("compiles to bytecode");
+    let init = p.page("start").expect("page").init.clone();
+    let mut scratch = vm::Scratch::new();
+    bench.bench("vm/fib14", || {
+        let (mut store, mut queue) = (Store::new(), EventQueue::new());
+        let run = vm::transition_page_init(
+            &vmp,
+            &mut scratch,
+            &mut store,
+            &mut queue,
+            0,
+            u64::MAX,
+            "start",
+            &[],
+            None,
+            None,
+        );
+        black_box(run.result.expect("runs"))
     });
     bench.bench("smallstep/fib14", || {
-        let mut store = Store::new();
-        black_box(smallstep::eval_pure(&p, &mut store, u64::MAX, &body).expect("runs"))
+        let (mut store, mut queue) = (Store::new(), EventQueue::new());
+        black_box(smallstep::eval_state(&p, &mut store, &mut queue, u64::MAX, &init).expect("runs"))
     });
-
-    // Local-lookup micro-case: a deep let-chain makes `lookup_local`
-    // the hot operation. Names are interned `Arc<str>`s, so the resolver
-    // compares pointers before strings and walks frames innermost-first;
-    // this case tracks that fast path (regressing to string compares or
-    // outermost-first scans shows up directly in its ns/iter).
-    for depth in [16usize, 64] {
-        let mut body = String::from("fun deep(x: number): number pure {\n");
-        body.push_str("    let a0 = x + 1;\n");
-        for i in 1..depth {
-            body.push_str(&format!("    let a{i} = a{} + 1;\n", i - 1));
-        }
-        // Touch the innermost, the outermost, and the parameter: one
-        // cheap lookup and two worst-case scans per call.
-        body.push_str(&format!("    a{} + a0 + x\n}}\n", depth - 1));
-        body.push_str("fun main(): number pure { deep(1) + deep(2) }\npage start() { render { } }");
-        let p = compile(&body).expect("compiles");
-        let main_body = p.fun("main").expect("fun").body.clone();
-        let store = Store::new();
-        bench.bench(&format!("bigstep/lookup_deep{depth}"), || {
-            black_box(bigstep::run_pure(&p, &store, 0, u64::MAX, &main_body).expect("runs"))
-        });
-    }
 
     // Render workload: one full page render of the dense gallery.
     for n in [10usize, 50] {
         let p = compile(&alive_apps::gallery::gallery_src(n)).expect("compiles");
+        let vmp = p.vm().expect("compiles to bytecode");
         let page = p.page("start").expect("page");
         let mut store = Store::new();
         let mut queue = EventQueue::new();
-        bigstep::run_state(&p, &mut store, &mut queue, 0, u64::MAX, vec![], &page.init)
-            .expect("init");
+        smallstep::eval_state(&p, &mut store, &mut queue, u64::MAX, &page.init).expect("init");
         let render = page.render.clone();
-        bench.bench(&format!("bigstep_render/{n}"), || {
-            black_box(bigstep::run_render(&p, &store, 0, u64::MAX, vec![], &render).expect("runs"))
+        bench.bench(&format!("vm_render/{n}"), || {
+            let run = vm::transition_page_render(
+                &vmp,
+                &mut scratch,
+                &store,
+                0,
+                u64::MAX,
+                "start",
+                &[],
+                None,
+                None,
+                None,
+            );
+            black_box(run.result.expect("runs"))
         });
         bench.bench(&format!("smallstep_render/{n}"), || {
             let mut scratch = store.clone();

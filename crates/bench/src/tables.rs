@@ -12,7 +12,7 @@ use alive_baseline::{build_listings_view, FixAndContinueSession, ListingsModel, 
 use alive_core::event::EventQueue;
 use alive_core::fixup::fixup_store;
 use alive_core::store::Store;
-use alive_core::{bigstep, compile, smallstep, Value};
+use alive_core::{compile, smallstep, vm, Value};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -206,57 +206,89 @@ pub fn table_e6_update_fixup() -> String {
     out
 }
 
-/// E7 — ablation: the faithful small-step substitution machine vs the
-/// production big-step evaluator on the same workloads.
+/// E7 — ablation: the faithful small-step substitution machine (the
+/// reference semantics) vs the production bytecode VM on the same
+/// workloads.
 pub fn table_e7_eval_ablation() -> String {
     let mut out = String::new();
     writeln!(
         out,
-        "E7. Faithful small-step machine vs big-step evaluator\n\
-         workload | bigstep steps | smallstep steps (p/s/r) | bigstep wall-ms | smallstep wall-ms"
+        "E7. Faithful small-step machine vs bytecode VM\n\
+         workload | vm steps | smallstep steps (p/s/r) | vm wall-ms | smallstep wall-ms"
     )
     .unwrap();
 
-    let fib_src = "fun fib(n: number): number pure {
+    let fib_src = "global out : number = 0
+         fun fib(n: number): number pure {
              if n < 2 { n } else { fib(n - 1) + fib(n - 2) }
          }
-         fun main(): number pure { fib(16) }
-         page start() { render { } }";
+         page start() { init { out := fib(16); } render { } }";
     let render_src = gallery::gallery_src(30);
 
-    // fib workload.
+    // fib workload: the page init computes fib(16).
     let p = compile(fib_src).expect("compiles");
-    let body = p.fun("main").expect("fun").body.clone();
-    let store = Store::new();
-    let mut big_cost = 0u64;
-    let big_ms = time_ms(|| {
-        let (_, cost) = bigstep::run_pure(&p, &store, 0, u64::MAX, &body).expect("runs");
-        big_cost = cost.steps;
+    let vmp = p.vm().expect("compiles to bytecode");
+    let init = p.page("start").expect("page").init.clone();
+    let mut vm_steps = 0u64;
+    let vm_ms = time_ms(|| {
+        let run = vm::transition_page_init(
+            &vmp,
+            &mut vm::Scratch::new(),
+            &mut Store::new(),
+            &mut EventQueue::new(),
+            0,
+            u64::MAX,
+            "start",
+            &[],
+            None,
+            None,
+        );
+        run.result.expect("runs");
+        vm_steps = run.cost.steps;
     });
     let mut small_counts = smallstep::StepCounts::default();
-    let mut store2 = Store::new();
     let small_ms = time_ms(|| {
-        let out = smallstep::eval_pure(&p, &mut store2, u64::MAX, &body).expect("runs");
+        let out = smallstep::eval_state(
+            &p,
+            &mut Store::new(),
+            &mut EventQueue::new(),
+            u64::MAX,
+            &init,
+        )
+        .expect("runs");
         small_counts = out.steps;
     });
     writeln!(
         out,
-        "fib(16)  | {big_cost:13} | {:10}/{}/{} | {big_ms:15.2} | {small_ms:17.2}",
+        "fib(16)  | {vm_steps:8} | {:10}/{}/{} | {vm_ms:10.2} | {small_ms:17.2}",
         small_counts.pure, small_counts.state, small_counts.render
     )
     .unwrap();
 
     // render workload.
     let p = compile(&render_src).expect("compiles");
+    let vmp = p.vm().expect("compiles to bytecode");
     let page = p.page("start").expect("page");
     let mut store = Store::new();
     let mut queue = EventQueue::new();
-    bigstep::run_state(&p, &mut store, &mut queue, 0, u64::MAX, vec![], &page.init).expect("init");
+    smallstep::eval_state(&p, &mut store, &mut queue, u64::MAX, &page.init).expect("init");
     let render = page.render.clone();
-    let mut big_cost = 0u64;
-    let big_ms = time_ms(|| {
-        let out = bigstep::run_render(&p, &store, 0, u64::MAX, vec![], &render).expect("runs");
-        big_cost = out.cost.steps;
+    let mut vm_steps = 0u64;
+    let vm_ms = time_ms(|| {
+        let run = vm::transition_page_render(
+            &vmp,
+            &mut vm::Scratch::new(),
+            &store,
+            0,
+            u64::MAX,
+            "start",
+            &[],
+            None,
+            None,
+            None,
+        );
+        run.result.expect("runs");
+        vm_steps = run.cost.steps;
     });
     let mut small_counts = smallstep::StepCounts::default();
     let small_ms = time_ms(|| {
@@ -265,7 +297,7 @@ pub fn table_e7_eval_ablation() -> String {
     });
     writeln!(
         out,
-        "render30 | {big_cost:13} | {:10}/{}/{} | {big_ms:15.2} | {small_ms:17.2}",
+        "render30 | {vm_steps:8} | {:10}/{}/{} | {vm_ms:10.2} | {small_ms:17.2}",
         small_counts.pure, small_counts.state, small_counts.render
     )
     .unwrap();

@@ -16,8 +16,8 @@ use std::sync::Arc;
 /// Leaves and attributes carry optional [`Provenance`] — where the value
 /// came from in the source — but provenance is **ignored by equality**:
 /// two frames that render the same pixels compare equal even if one was
-/// produced by an engine (smallstep) that tags nothing. This keeps the
-/// three-way differential oracles and damage diffing value-based.
+/// produced by the small-step reference machine, which tags nothing.
+/// This keeps the differential oracles and damage diffing value-based.
 #[derive(Debug, Clone)]
 pub enum BoxItem {
     /// `B v` — a posted leaf value, with the origin of the value.
@@ -136,6 +136,21 @@ impl BoxNode {
             BoxItem::Child(b) => Some(b),
             _ => None,
         })
+    }
+
+    /// A copy of this tree with every provenance tag dropped — the form
+    /// in which frames from the VM (which tags) and the small-step
+    /// machine (which does not) compare byte for byte.
+    pub fn without_provenance(&self) -> BoxNode {
+        let items = self.items.iter().map(|item| match item {
+            BoxItem::Leaf(v, _) => BoxItem::Leaf(v.clone(), None),
+            BoxItem::Attr(a, v, _) => BoxItem::Attr(*a, v.clone(), None),
+            BoxItem::Child(c) => BoxItem::Child(Arc::new(c.without_provenance())),
+        });
+        BoxNode {
+            source: self.source,
+            items: items.collect(),
+        }
     }
 
     /// Append a child box, taking ownership and sharing it.

@@ -14,6 +14,9 @@ use std::fmt;
 pub enum RuntimeError {
     /// The step budget ran out — the program (or this handler) diverges.
     FuelExhausted,
+    /// The evaluation nested calls deeper than the call-depth budget
+    /// (carried), which bounds native stack use.
+    CallDepthExceeded(u32),
     /// A local variable was not bound (unreachable after lowering).
     UnknownLocal(Name),
     /// A global variable is not defined (unreachable after type check).
@@ -55,8 +58,8 @@ pub enum RuntimeError {
         /// The mode it ran in.
         mode: Effect,
     },
-    /// A construct outside the substitution kernel reached the faithful
-    /// small-step machine (local assignment).
+    /// The small-step machine met a term it has no rule for (e.g. a
+    /// non-value where the calculus requires a value).
     NotInKernel(&'static str),
     /// An evaluator invariant was broken (unreachable; reported as a
     /// typed error instead of aborting the process).
@@ -67,6 +70,9 @@ impl fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RuntimeError::FuelExhausted => f.write_str("evaluation fuel exhausted"),
+            RuntimeError::CallDepthExceeded(limit) => {
+                write!(f, "call depth exceeded the budget of {limit} nested calls")
+            }
             RuntimeError::UnknownLocal(n) => write!(f, "unbound local `{n}`"),
             RuntimeError::UnknownGlobal(n) => write!(f, "unknown global `{n}`"),
             RuntimeError::UnknownFun(n) => write!(f, "unknown function `{n}`"),

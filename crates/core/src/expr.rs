@@ -7,11 +7,19 @@
 //! constructs (`let`, `if`, loops, operators, local assignment) are the
 //! conservative extensions discussed in DESIGN.md; [`crate::smallstep`]
 //! shows how each reduces within the paper's evaluation framework.
+//!
+//! Two forms never come out of lowering: [`ExprKind::Val`] and
+//! [`ExprKind::Capture`] are the small-step machine's runtime terms (an
+//! evaluated value, and a λ collecting its delayed substitution). They
+//! live here because the machine reduces by rewriting this same tree,
+//! as Fig. 8 rewrites source terms, so its pretty-printed steps and
+//! provenance re-evaluation work on one term type; the type checker and
+//! the VM compiler refuse them as malformed input.
 
 use crate::attr::Attr;
 use crate::prim::Prim;
 use crate::types::{Effect, Name, Type};
-use crate::value::Color;
+use crate::value::{Color, Value};
 pub use alive_syntax::ast::{BinOp, UnOp};
 use alive_syntax::Span;
 use std::sync::Arc;
@@ -171,6 +179,15 @@ pub enum ExprKind {
     Binary(BinOp, Box<Expr>, Box<Expr>),
     /// Unary operator.
     Unary(UnOp, Box<Expr>),
+    /// A runtime value embedded in a term (Fig. 6 `v`): closures, view
+    /// slot references and compound values as the small-step machine
+    /// produces them. Never produced by lowering.
+    Val(Value),
+    /// A λ under substitution in the small-step machine: the source
+    /// lambda plus the bindings substituted into it so far, outermost
+    /// first. Reducing it closes over their current values. Never
+    /// produced by lowering.
+    Capture(Arc<LambdaExpr>, Vec<(Name, Expr)>),
 }
 
 impl Expr {
@@ -214,7 +231,14 @@ impl Expr {
             | ExprKind::FunRef(_)
             | ExprKind::PrimRef(_)
             | ExprKind::WidgetRead(_)
+            | ExprKind::Val(_)
             | ExprKind::PopPage => {}
+            ExprKind::Capture(lam, env) => {
+                for (_, e) in env {
+                    e.walk(visit);
+                }
+                lam.body.walk(visit);
+            }
             ExprKind::Tuple(es) | ExprKind::ListLit(es) => {
                 for e in es {
                     e.walk(visit);
@@ -267,6 +291,18 @@ impl Expr {
                 body.walk(visit);
             }
         }
+    }
+
+    /// Whether the expression assigns local `name` anywhere inside it
+    /// (shadowing ignored, so the answer errs towards `true`).
+    pub fn assigns(&self, name: &Name) -> bool {
+        let mut found = false;
+        self.walk(&mut |e| {
+            if let ExprKind::LocalAssign(n, _) = &e.kind {
+                found |= Arc::ptr_eq(n, name) || **n == **name;
+            }
+        });
+        found
     }
 
     /// Count all nodes in the expression tree (a size metric for benches).

@@ -9,8 +9,9 @@
 //! * Figure 7 — system states `(C, D, S, P, Q)` ([`program`], [`boxtree`],
 //!   [`store`], [`event`], [`system`]);
 //! * Figure 8 — the three-mode evaluation relations `→p`, `→s`, `→r`
-//!   ([`smallstep`] faithfully by substitution, [`bigstep`] efficiently
-//!   with environments);
+//!   ([`smallstep`] faithfully by substitution, extended to the whole
+//!   language — the reference semantics; [`vm`] as register bytecode —
+//!   the one production evaluator, tested against the reference);
 //! * Figure 9 — the global transitions STARTUP, TAP, BACK, THUNK, PUSH,
 //!   POP, RENDER, and UPDATE ([`system`]);
 //! * Figure 10/11 — the type and effect system and state typing
@@ -47,7 +48,6 @@
 )]
 
 pub mod attr;
-pub mod bigstep;
 pub mod boxtree;
 pub mod error;
 pub mod event;

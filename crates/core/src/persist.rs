@@ -13,8 +13,6 @@
 //! Only →-free values exist in the store (T-C-GLOBAL), so every value
 //! has a literal form.
 
-use crate::bigstep;
-use crate::lower::lower_program;
 use crate::program::Program;
 use crate::store::Store;
 use crate::value::{Color, Value};
@@ -251,58 +249,43 @@ pub fn load_store(program: &Program, text: &str) -> Result<(Store, LoadReport), 
     Ok((store, report))
 }
 
-/// Parse a value literal (closed pure expression) back into a value:
-/// parse with the ordinary expression parser, lower the literal forms,
-/// and evaluate purely against an empty program.
+/// Parse a value literal back into a value: parse with the ordinary
+/// expression parser and build the value straight from the literal
+/// forms (numbers, strings, bools, named colors, tuples, lists, and the
+/// negations and quotients that spell negative and non-finite numbers).
 fn parse_literal(src: &str) -> Result<Value, String> {
     let expr = alive_syntax::parse_expr(src).map_err(|d| d.to_string())?;
-    let core_expr = lower_expr_standalone(&expr)?;
-    let empty = lower_program(&alive_syntax::ast::Program::default()).program;
-    let store = Store::new();
-    let (value, _) =
-        bigstep::run_pure(&empty, &store, 0, 1_000_000, &core_expr).map_err(|e| e.to_string())?;
-    Ok(value)
+    literal_value(&expr)
 }
 
-/// Lower a literal expression without a surrounding program: only
-/// literal forms are accepted.
-fn lower_expr_standalone(expr: &alive_syntax::ast::Expr) -> Result<crate::expr::Expr, String> {
-    use crate::expr::{Expr, ExprKind as C};
+fn literal_value(expr: &alive_syntax::ast::Expr) -> Result<Value, String> {
     use alive_syntax::ast::{ExprKind as S, UnOp};
-    let span = expr.span;
-    let kind = match &expr.kind {
-        S::Number(n) => C::Num(*n),
-        S::Str(s) => C::Str(std::sync::Arc::from(s.as_str())),
-        S::Bool(b) => C::Bool(*b),
-        S::Tuple(es) => C::Tuple(
-            es.iter()
-                .map(lower_expr_standalone)
-                .collect::<Result<_, _>>()?,
-        ),
-        S::ListLit(es) => C::ListLit(
-            es.iter()
-                .map(lower_expr_standalone)
-                .collect::<Result<_, _>>()?,
-        ),
+    let all = |es: &[alive_syntax::ast::Expr]| {
+        es.iter().map(literal_value).collect::<Result<Vec<_>, _>>()
+    };
+    Ok(match &expr.kind {
+        S::Number(n) => Value::Number(*n),
+        S::Str(s) => Value::str(s),
+        S::Bool(b) => Value::Bool(*b),
+        S::Tuple(es) => Value::tuple(all(es)?),
+        S::ListLit(es) => Value::list(all(es)?),
         S::Qualified { ns, name } if ns.text == "colors" => match Color::by_name(&name.text) {
-            Some(c) => C::ColorLit(c),
+            Some(c) => Value::Color(c),
             None => return Err(format!("unknown color `{}`", name.text)),
         },
         S::Unary {
             op: UnOp::Neg,
             expr,
-        } => C::Unary(
-            alive_syntax::ast::UnOp::Neg,
-            Box::new(lower_expr_standalone(expr)?),
-        ),
-        S::Binary { op, lhs, rhs } => C::Binary(
-            *op,
-            Box::new(lower_expr_standalone(lhs)?),
-            Box::new(lower_expr_standalone(rhs)?),
-        ),
+        } => match literal_value(expr)? {
+            Value::Number(n) => Value::Number(-n),
+            other => return Err(format!("cannot negate {other}")),
+        },
+        S::Binary { op, lhs, rhs } => {
+            crate::vm::apply_binop(*op, &literal_value(lhs)?, &literal_value(rhs)?)
+                .map_err(|e| e.to_string())?
+        }
         other => return Err(format!("not a value literal: {other:?}")),
-    };
-    Ok(Expr::new(kind, span))
+    })
 }
 
 #[cfg(test)]

@@ -188,6 +188,28 @@ fn write_expr(out: &mut String, expr: &Expr, depth: usize) {
             out.push_str(op.text());
             write_expr(out, e, d);
         }
+        ExprKind::Val(v) => match v {
+            crate::value::Value::Str(s) => {
+                let _ = write!(out, "{s:?}");
+            }
+            v => out.push_str(&v.display_text()),
+        },
+        ExprKind::Capture(lam, env) => {
+            out.push('[');
+            for (i, (name, value)) in env.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                let _ = write!(out, "{name} := ");
+                write_expr(out, value, d);
+            }
+            out.push_str("] ");
+            write_expr(
+                out,
+                &Expr::new(ExprKind::Lambda(lam.clone()), expr.span),
+                depth,
+            );
+        }
     }
 }
 

@@ -105,8 +105,9 @@ pub struct Program {
     /// [`crate::expr::RememberId`].
     pub remember_spans: Vec<Span>,
     /// Lazily compiled bytecode for this program version (`None` once
-    /// initialized means the program is outside the VM subset and runs
-    /// on the tree walker). Every mutator resets this cache.
+    /// initialized means the program failed to compile — only possible
+    /// for a program that bypassed the checker — and every transition
+    /// of it faults). Every mutator resets this cache.
     vm_cache: std::sync::OnceLock<Option<Arc<crate::vm::VmProgram>>>,
 }
 
@@ -234,9 +235,9 @@ impl Program {
 
     /// The program compiled to bytecode, compiling on first use and
     /// caching the result for the lifetime of this program version
-    /// (mutators invalidate). `None` means the program is outside the
-    /// VM subset and must run on the tree walker — which preserves
-    /// semantics exactly, since the VM is only ever an optimization.
+    /// (mutators invalidate). `None` means the program failed to compile
+    /// (see [`crate::vm::CompileError`]), which the system reports as a
+    /// contained fault.
     pub fn vm(&self) -> Option<Arc<crate::vm::VmProgram>> {
         self.vm_cache
             .get_or_init(|| crate::vm::VmProgram::compile(self).ok().map(Arc::new))

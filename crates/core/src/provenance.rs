@@ -8,14 +8,14 @@
 //! *output* value into ranked candidate *source* edits.
 //!
 //! Provenance is carried on [`crate::boxtree::BoxItem`] leaves and
-//! attributes, but deliberately **excluded from equality**: rendered
-//! frames stay byte-identical across all three engines (bigstep, VM,
-//! smallstep) and across memo splices, so the differential oracles and
-//! damage diffing are untouched. The smallstep substitution machine
-//! destroys environments by design and tags nothing; bigstep and the VM
-//! must agree exactly, which is why both derive the environment from the
-//! single [`free_locals`] function below — bigstep at run time, the VM
-//! compiler at compile time (resolving the same names to registers).
+//! attributes, but deliberately **excluded from equality**: frames
+//! compare by value across memo splices and against the small-step
+//! reference machine, which substitutes environments away by design and
+//! tags nothing. Only the VM tags, deriving each environment from the
+//! [`free_locals`] function below at compile time. The oracle for the
+//! tags is re-evaluation: the reference machine reduces a tagged
+//! expression, under its captured environment, back to the tagged value
+//! (`tests/repair_roundtrip.rs`), as repair verification does.
 
 use crate::expr::{Expr, ExprKind};
 use crate::types::Name;
@@ -76,11 +76,9 @@ pub fn is_literal_expr(expr: &Expr) -> bool {
 /// bound inside the expression itself (`let`, lambda parameters, loop
 /// variables, `remember` bindings).
 ///
-/// This is *the* definition both evaluation engines share: bigstep looks
-/// the names up at run time, the VM compiler resolves them to registers
-/// at compile time. Names that fail to resolve are skipped by both
-/// (impossible for type-checked programs), so the captured environments
-/// agree byte-for-byte.
+/// The VM compiler resolves these names to registers at compile time
+/// and snapshots them when the value is posted. Names that fail to
+/// resolve are skipped (impossible for type-checked programs).
 pub fn free_locals(expr: &Expr) -> Vec<Name> {
     fn bound(stack: &[Name], name: &Name) -> bool {
         stack.iter().any(|b| Arc::ptr_eq(b, name) || **b == **name)
@@ -106,6 +104,7 @@ pub fn free_locals(expr: &Expr) -> Vec<Name> {
             | ExprKind::FunRef(_)
             | ExprKind::PrimRef(_)
             | ExprKind::WidgetRead(_)
+            | ExprKind::Val(_)
             | ExprKind::PopPage => {}
             ExprKind::Tuple(es) | ExprKind::ListLit(es) | ExprKind::PushPage(_, es) => {
                 for e in es {
@@ -124,6 +123,15 @@ pub fn free_locals(expr: &Expr) -> Vec<Name> {
                 for a in args {
                     go(a, stack, out);
                 }
+            }
+            ExprKind::Capture(lam, env) => {
+                for (_, e) in env {
+                    go(e, stack, out);
+                }
+                let base = stack.len();
+                stack.extend(lam.params.iter().map(|p| p.name.clone()));
+                go(&lam.body, stack, out);
+                stack.truncate(base);
             }
             ExprKind::Lambda(lam) => {
                 let base = stack.len();

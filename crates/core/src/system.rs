@@ -17,7 +17,6 @@
 //! updates (§4.2).
 
 use crate::attr::Attr;
-use crate::bigstep::{self, Cost, DEFAULT_FUEL};
 use crate::boxtree::{BoxNode, Display};
 use crate::error::RuntimeError;
 use crate::event::{Event, EventQueue};
@@ -27,6 +26,7 @@ use crate::program::{Program, START_PAGE};
 use crate::store::Store;
 use crate::types::Name;
 use crate::value::Value;
+use crate::vm::{Cost, RenderHook, VmProgram, DEFAULT_FUEL};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -79,19 +79,6 @@ impl fmt::Display for ActionError {
 
 impl std::error::Error for ActionError {}
 
-/// Which engine evaluates INIT/HANDLER/RENDER transitions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum EvalEngine {
-    /// The register-based bytecode VM ([`crate::vm`]), with automatic
-    /// per-transition fallback to the tree walker for anything outside
-    /// the VM subset. The default: same semantics, much faster.
-    #[default]
-    Vm,
-    /// The bigstep tree walker only ([`crate::bigstep`]) — the
-    /// reference engine the VM is differentially tested against.
-    Bigstep,
-}
-
 /// Configuration of a [`System`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
@@ -100,8 +87,6 @@ pub struct SystemConfig {
     /// Safety bound for [`System::run_to_stable`] (an event cascade
     /// longer than this is reported as divergence).
     pub max_transitions: u64,
-    /// Which evaluation engine runs transitions.
-    pub engine: EvalEngine,
 }
 
 impl Default for SystemConfig {
@@ -109,7 +94,6 @@ impl Default for SystemConfig {
         SystemConfig {
             fuel: DEFAULT_FUEL,
             max_transitions: 10_000,
-            engine: EvalEngine::Vm,
         }
     }
 }
@@ -120,9 +104,6 @@ impl Default for SystemConfig {
 pub struct VmStats {
     /// Transitions executed on the VM.
     pub runs: u64,
-    /// Transitions that fell back to the tree walker while the VM
-    /// engine was selected.
-    pub fallbacks: u64,
     /// VM dispatches that reused already-compiled bytecode.
     pub cache_hits: u64,
     /// Bytecode compiles performed (once per program version; shared
@@ -171,7 +152,7 @@ pub struct System {
     /// Pooled VM register/arena storage, reused across transitions.
     /// Clones start with a fresh pool (capacity is a cache, not state).
     scratch: crate::vm::Scratch,
-    /// Cumulative VM accounting (runs, fallbacks, compiles, …).
+    /// Cumulative VM accounting (runs, compiles, …).
     vm_stats: VmStats,
 }
 
@@ -257,19 +238,16 @@ impl System {
         self.config
     }
 
-    /// Cumulative bytecode-VM accounting (runs, fallbacks, compile and
-    /// instruction counts) for this system.
+    /// Cumulative bytecode-VM accounting (runs, compile and instruction
+    /// counts) for this system.
     pub fn vm_stats(&self) -> VmStats {
         self.vm_stats
     }
 
-    /// The compiled bytecode for the current program, when the VM
-    /// engine is selected and the program is inside the VM subset.
-    /// Books the compile or cache hit it observes.
-    fn vm_program(&mut self) -> Option<Arc<crate::vm::VmProgram>> {
-        if self.config.engine != EvalEngine::Vm {
-            return None;
-        }
+    /// The compiled bytecode for the current program. Books the compile
+    /// or cache hit it observes. A program that does not compile (only
+    /// possible if it bypassed the checker) faults the transition.
+    fn vm_program(&mut self) -> Result<Arc<VmProgram>, RuntimeError> {
         let cached = self.program.vm_ready();
         let started_us = match &self.metrics {
             Some(metrics) if !cached => metrics.now_us(),
@@ -297,7 +275,9 @@ impl System {
                 }
             }
         }
-        vmp
+        vmp.ok_or(RuntimeError::Internal(
+            "program does not compile to bytecode",
+        ))
     }
 
     /// Book one transition executed on the VM.
@@ -309,18 +289,6 @@ impl System {
         }
         if let Some(metrics) = &self.metrics {
             metrics.record_vm_run(stats);
-        }
-    }
-
-    /// Book one fallback to the tree walker (only meaningful while the
-    /// VM engine is selected).
-    fn note_vm_fallback(&mut self) {
-        if self.config.engine != EvalEngine::Vm {
-            return;
-        }
-        self.vm_stats.fallbacks += 1;
-        if let Some(metrics) = &self.metrics {
-            metrics.record_vm_fallback();
         }
     }
 
@@ -494,41 +462,26 @@ impl System {
             let (kind, page, result, cost, fuel) = match event {
                 Event::Exec(thunk, args) => {
                     let fuel = self.transition_fuel(TransitionKind::Handler);
-                    let vmp = self.vm_program();
-                    let injector = self.injector.clone();
-                    let mut guard = injector.as_deref().map(lock_injector);
-                    let vm_run = vmp.and_then(|vmp| {
-                        crate::vm::transition_thunk(
-                            &vmp,
-                            &mut self.scratch,
-                            &mut self.store,
-                            &mut self.queue,
-                            self.version,
-                            fuel,
-                            &thunk,
-                            &args,
-                            Some(&mut self.widgets),
-                            guard.as_deref_mut().map(|g| g as &mut dyn FaultInjector),
-                        )
-                    });
-                    let (result, cost) = match vm_run {
-                        Some(run) => {
-                            self.note_vm_run(run.stats);
-                            (run.result, run.cost)
-                        }
-                        None => {
-                            self.note_vm_fallback();
-                            bigstep::transition_thunk(
-                                &self.program,
+                    let (result, cost) = match self.vm_program() {
+                        Err(error) => (Err(error), Cost::default()),
+                        Ok(vmp) => {
+                            let injector = self.injector.clone();
+                            let mut guard = injector.as_deref().map(lock_injector);
+                            let run = crate::vm::transition_thunk(
+                                &vmp,
+                                &mut self.scratch,
                                 &mut self.store,
                                 &mut self.queue,
                                 self.version,
                                 fuel,
                                 &thunk,
-                                args,
+                                &args,
                                 Some(&mut self.widgets),
                                 guard.as_deref_mut().map(|g| g as &mut dyn FaultInjector),
-                            )
+                            );
+                            drop(guard);
+                            self.note_vm_run(run.stats);
+                            (run.result, run.cost)
                         }
                     };
                     let page = self.page_stack.last().map(|(n, _)| n.clone());
@@ -536,56 +489,32 @@ impl System {
                 }
                 Event::Push(page_name, arg) => {
                     let fuel = self.transition_fuel(TransitionKind::Init);
-                    let prepared = self
-                        .program
-                        .page(&page_name)
-                        .map(|page| (bind_page_params(page, &arg), page.init.clone()));
-                    let outcome = match prepared {
-                        None => (
-                            Err(RuntimeError::UnknownPage(page_name.clone())),
-                            Cost::default(),
-                        ),
-                        Some((bindings, init)) => {
-                            let vmp = self.vm_program();
+                    let bindings = match self.program.page(&page_name) {
+                        Some(page) => Ok(bind_page_params(page, &arg)),
+                        None => Err(RuntimeError::UnknownPage(page_name.clone())),
+                    };
+                    let (result, cost) = match bindings.and_then(|b| Ok((b, self.vm_program()?))) {
+                        Err(error) => (Err(error), Cost::default()),
+                        Ok((bindings, vmp)) => {
                             let injector = self.injector.clone();
                             let mut guard = injector.as_deref().map(lock_injector);
-                            let vm_run = vmp.and_then(|vmp| {
-                                crate::vm::transition_page_init(
-                                    &vmp,
-                                    &mut self.scratch,
-                                    &mut self.store,
-                                    &mut self.queue,
-                                    self.version,
-                                    fuel,
-                                    &page_name,
-                                    &bindings,
-                                    Some(&mut self.widgets),
-                                    guard.as_deref_mut().map(|g| g as &mut dyn FaultInjector),
-                                )
-                            });
-                            match vm_run {
-                                Some(run) => {
-                                    self.note_vm_run(run.stats);
-                                    (run.result, run.cost)
-                                }
-                                None => {
-                                    self.note_vm_fallback();
-                                    bigstep::transition_state(
-                                        &self.program,
-                                        &mut self.store,
-                                        &mut self.queue,
-                                        self.version,
-                                        fuel,
-                                        bindings,
-                                        &init,
-                                        Some(&mut self.widgets),
-                                        guard.as_deref_mut().map(|g| g as &mut dyn FaultInjector),
-                                    )
-                                }
-                            }
+                            let run = crate::vm::transition_page_init(
+                                &vmp,
+                                &mut self.scratch,
+                                &mut self.store,
+                                &mut self.queue,
+                                self.version,
+                                fuel,
+                                &page_name,
+                                &bindings,
+                                Some(&mut self.widgets),
+                                guard.as_deref_mut().map(|g| g as &mut dyn FaultInjector),
+                            );
+                            drop(guard);
+                            self.note_vm_run(run.stats);
+                            (run.result, run.cost)
                         }
                     };
-                    let (result, cost) = outcome;
                     if result.is_ok() {
                         self.page_stack.push((page_name.clone(), arg));
                     }
@@ -655,7 +584,7 @@ impl System {
     /// display is left untouched for the caller to degrade).
     fn render_transition(
         &mut self,
-        hook: Option<&mut dyn bigstep::RenderHook>,
+        hook: Option<&mut (dyn RenderHook + 'static)>,
     ) -> Result<(), (RuntimeError, Cost, u64)> {
         let Some((page_name, arg)) = self.page_stack.last().cloned() else {
             return Err((
@@ -669,50 +598,31 @@ impl System {
             return Err((RuntimeError::UnknownPage(page_name), Cost::default(), fuel));
         };
         let bindings = bind_page_params(page, &arg);
-        let render = page.render.clone();
+        let vmp = match self.vm_program() {
+            Ok(vmp) => vmp,
+            Err(error) => return Err((error, Cost::default(), fuel)),
+        };
         // RENDER's transaction checkpoint: render code cannot touch the
         // store, stack, or queue (enforced by mode and borrows), so only
         // the `remember` slots need snapshotting.
         let widgets_checkpoint = self.widgets.clone();
         self.widgets.begin_render();
-        let vmp = self.vm_program();
         let injector = self.injector.clone();
         let mut guard = injector.as_deref().map(lock_injector);
-        let mut hook = hook;
-        let vm_run = vmp.and_then(|vmp| {
-            crate::vm::transition_page_render(
-                &vmp,
-                &mut self.scratch,
-                &self.store,
-                self.version,
-                fuel,
-                &page_name,
-                &bindings,
-                hook.as_deref_mut(),
-                Some(&mut self.widgets),
-                guard.as_deref_mut().map(|g| g as &mut dyn FaultInjector),
-            )
-        });
-        let (result, cost) = match vm_run {
-            Some(run) => {
-                self.note_vm_run(run.stats);
-                (run.result, run.cost)
-            }
-            None => {
-                self.note_vm_fallback();
-                bigstep::transition_render(
-                    &self.program,
-                    &self.store,
-                    self.version,
-                    fuel,
-                    bindings,
-                    &render,
-                    hook,
-                    Some(&mut self.widgets),
-                    guard.as_deref_mut().map(|g| g as &mut dyn FaultInjector),
-                )
-            }
-        };
+        let run = crate::vm::transition_page_render(
+            &vmp,
+            &mut self.scratch,
+            &self.store,
+            self.version,
+            fuel,
+            &page_name,
+            &bindings,
+            hook,
+            Some(&mut self.widgets),
+            guard.as_deref_mut().map(|g| g as &mut dyn FaultInjector),
+        );
+        self.note_vm_run(run.stats);
+        let (result, cost) = (run.result, run.cost);
         drop(guard);
         self.cost.absorb(cost);
         match result {
@@ -967,7 +877,7 @@ impl System {
         Ok(report)
     }
 
-    /// Perform the RENDER transition with a [`bigstep::RenderHook`]
+    /// Perform the RENDER transition with a [`RenderHook`]
     /// intercepting `boxed` evaluation — the §5 reuse optimization.
     /// Does nothing (returns `false`) if the display is not `⊥`, the
     /// queue is non-empty, or the page stack is empty (i.e. RENDER is
@@ -980,7 +890,7 @@ impl System {
     /// the last good tree.
     pub fn render_with_hook(
         &mut self,
-        hook: &mut dyn crate::bigstep::RenderHook,
+        hook: &mut (dyn RenderHook + 'static),
     ) -> Result<bool, Fault> {
         if !matches!(self.display, Display::Invalid) || !self.queue.is_empty() {
             return Ok(false);
@@ -1355,7 +1265,6 @@ mod tests {
             SystemConfig {
                 fuel: DEFAULT_FUEL,
                 max_transitions: 50,
-                ..SystemConfig::default()
             },
         );
         let fault = sys.run_to_stable().expect_err("cascade overflows");

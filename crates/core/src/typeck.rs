@@ -6,6 +6,8 @@
 //! (`boxed`, `post`, `box.a := e`) require mode `r`; pure code runs in
 //! any mode (T-SUB). Globals and page arguments must be →-free so that
 //! no closure — hence no stale code — survives an UPDATE (§4.2).
+//! Beyond the paper, a body whose register frame could overflow the
+//! bytecode VM is rejected, so every checked program compiles.
 
 use crate::expr::{Expr, ExprKind, ParamSig};
 use crate::prim::Prim;
@@ -118,6 +120,7 @@ impl Checker<'_> {
             }
             let mut env = TypeEnv::new();
             self.check_expect(&mut env, Effect::Pure, &g.init, &g.ty);
+            self.check_frame(0, &g.init);
         }
 
         for e in self.program.examples() {
@@ -125,6 +128,10 @@ impl Checker<'_> {
             // produce the same type as the probed body.
             let mut env = TypeEnv::new();
             let body_ty = self.infer(&mut env, Effect::Pure, &e.body, None);
+            self.check_frame(0, &e.body);
+            if let Some(expect) = &e.expect {
+                self.check_frame(0, expect);
+            }
             if let Some(expect) = &e.expect {
                 match &body_ty {
                     Some(t) => {
@@ -148,6 +155,7 @@ impl Checker<'_> {
                 env.bind(p.name.clone(), p.ty.clone());
             }
             self.check_expect(&mut env, f.effect, &f.body, &f.ret);
+            self.check_frame(f.params.len(), &f.body);
         }
 
         for page in self.program.pages() {
@@ -176,9 +184,29 @@ impl Checker<'_> {
             let mut env = TypeEnv::new();
             bind_params(&mut env);
             self.check_expect(&mut env, Effect::Render, &page.render, &Type::unit());
+            self.check_frame(page.params.len(), &page.init);
+            self.check_frame(page.params.len(), &page.render);
         }
 
         self.lint_unused();
+    }
+
+    /// Reject a body (with `params` parameters) whose register frame —
+    /// or that of a lambda inside it — could overflow the bytecode
+    /// compiler: a literal, argument list or local chain too long for
+    /// one frame.
+    fn check_frame(&mut self, params: usize, body: &Expr) {
+        let frame = crate::vm::frame_bound(params, body);
+        if frame >= crate::vm::FRAME_LIMIT {
+            self.error(
+                body.span,
+                format!(
+                    "this body may need {frame} registers, over the limit of {}; \
+                     split long literals, argument lists or local chains",
+                    crate::vm::FRAME_LIMIT - 1
+                ),
+            );
+        }
     }
 
     /// Warn (never reject) about globals and functions unreachable from
@@ -641,6 +669,10 @@ impl Checker<'_> {
                     Some(Type::Bool)
                 }
             },
+            ExprKind::Val(_) | ExprKind::Capture(..) => {
+                self.error(span, "small-step runtime term in program code".to_string());
+                None
+            }
         }
     }
 

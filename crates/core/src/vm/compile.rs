@@ -3,16 +3,17 @@
 //! resolution.
 //!
 //! The compile-time binding stack (`FnCompiler::binds`) is a flat list
-//! of `(name, register)` pairs that mirrors bigstep's flattened scope
-//! chain *exactly* — shadowed entries stay on the stack and lookups
-//! resolve innermost-last — so closure capture lists and render-hook
-//! locals come out byte-identical to the tree walker's `capture_env`.
+//! of `(name, register)` pairs — the flattened scope chain: shadowed
+//! entries stay on the stack and lookups resolve innermost-last — so a
+//! closure captures, and a render hook sees, every visible binding,
+//! outermost first.
 //!
-//! Any construct the compiler cannot prove it can reproduce exactly
-//! (unresolvable names in programs that bypassed the type checker,
-//! capacity overflows) aborts the whole compile with [`CompileError`];
-//! the caller then runs the program on bigstep, so semantics are
-//! preserved by falling back, never by approximating.
+//! Anything the compiler cannot resolve (unresolvable names or
+//! over-capacity frames in programs that bypassed the type checker)
+//! aborts the whole compile with [`CompileError`]; the system then
+//! faults every transition of that program instead of approximating.
+//! The checker rejects over-capacity bodies up front through
+//! [`frame_bound`].
 
 use std::collections::HashMap;
 use std::fmt;
@@ -29,9 +30,8 @@ use super::{
     Chunk, ExampleSlot, GlobalSlot, GuardOp, Instr, LambdaInfo, PageEntry, ProvSpec, Reg, VmProgram,
 };
 
-/// Why a program is outside the VM subset. Never user-visible: the
-/// engine falls back to the tree walker, which reports the authoritative
-/// runtime error (or runs the program fine).
+/// Why a program failed to compile to bytecode. Unreachable for checked
+/// programs; the system reports it as a contained fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompileError {
     /// What the compiler could not express.
@@ -172,6 +172,10 @@ fn compile_chunk(
     f.emit(body, Some(res))?;
     f.code.push(Instr::Ret { src: res });
     let FnCompiler { code, max, .. } = f;
+    debug_assert!(
+        usize::from(max) <= frame_bound(usize::from(first), body),
+        "frame_bound under-estimates a frame"
+    );
     let idx = u32::try_from(b.chunks.len()).map_err(|_| CompileError::plain("chunk overflow"))?;
     b.chunks.push(Chunk {
         code,
@@ -180,6 +184,73 @@ fn compile_chunk(
         params: params as u16,
     });
     Ok(idx)
+}
+
+/// Register frames must stay below this size: the allocator refuses
+/// register [`Reg::MAX`].
+pub(crate) const FRAME_LIMIT: usize = Reg::MAX as usize;
+
+/// The largest register frame compiling `body` with `binds` seeded
+/// bindings can need — its own chunk's and those of the lambdas inside
+/// it — at most. The checker rejects a body whose bound reaches
+/// [`FRAME_LIMIT`], so checked programs never overflow the allocator;
+/// a debug assertion in `compile_chunk` keeps this in step with `emit`.
+pub(crate) fn frame_bound(binds: usize, body: &Expr) -> usize {
+    let mut lambdas = Vec::new();
+    let frame = binds + 1 + frame_need(body, &mut lambdas);
+    // Every binding a lambda captures holds a register of this frame.
+    lambdas
+        .iter()
+        .map(|lam| frame_bound(frame + lam.params.len(), &lam.body))
+        .fold(frame, usize::max)
+}
+
+/// Registers `FnCompiler::emit` allocates above its entry watermark
+/// for `e`, at most, arm by arm. Lambdas are separate chunks: they are
+/// collected for [`frame_bound`] instead.
+fn frame_need<'e>(e: &'e Expr, lambdas: &mut Vec<&'e LambdaExpr>) -> usize {
+    let mut need = |e: &'e Expr| frame_need(e, lambdas);
+    match &e.kind {
+        ExprKind::Lambda(lam) => {
+            lambdas.push(lam);
+            0
+        }
+        ExprKind::Num(_)
+        | ExprKind::Str(_)
+        | ExprKind::Bool(_)
+        | ExprKind::ColorLit(_)
+        | ExprKind::PrimRef(_)
+        | ExprKind::Local(_)
+        | ExprKind::Global(_)
+        | ExprKind::FunRef(_)
+        | ExprKind::WidgetRead(_)
+        | ExprKind::PopPage
+        | ExprKind::Val(_)
+        | ExprKind::Capture(..) => 1,
+        ExprKind::Tuple(es) | ExprKind::ListLit(es) | ExprKind::PushPage(_, es) => {
+            es.len() + es.iter().map(need).fold(1, usize::max)
+        }
+        ExprKind::Call(callee, args) => {
+            let callee = need(callee);
+            args.len() + 1 + args.iter().map(need).fold(callee.max(1), usize::max)
+        }
+        ExprKind::Let { value, body, .. } => 1 + need(value).max(need(body)),
+        ExprKind::Seq(a, b) => need(a).max(need(b)),
+        ExprKind::If(c, t, els) => (1 + need(c)).max(need(t)).max(need(els)),
+        ExprKind::While(c, body) => (1 + need(c)).max(need(body)),
+        ExprKind::ForRange { lo, hi, body, .. } => 5 + need(lo).max(need(hi)).max(need(body)),
+        ExprKind::Foreach { list, body, .. } => 3 + need(list).max(need(body)),
+        ExprKind::Remember { init, body, .. } => 1 + (1 + need(init)).max(need(body)),
+        ExprKind::Proj(v, _)
+        | ExprKind::Unary(_, v)
+        | ExprKind::LocalAssign(_, v)
+        | ExprKind::GlobalAssign(_, v)
+        | ExprKind::Boxed(_, v)
+        | ExprKind::Post(v)
+        | ExprKind::SetAttr(_, v) => 1 + need(v).max(1),
+        ExprKind::WidgetWrite(_, v) => 2 + need(v),
+        ExprKind::Binary(_, l, r) => 2 + need(l).max(need(r)).max(1),
+    }
 }
 
 fn param_binds(params: &[ParamSig]) -> Result<Vec<(Name, Reg)>, CompileError> {
@@ -191,22 +262,6 @@ fn param_binds(params: &[ParamSig]) -> Result<Vec<(Name, Reg)>, CompileError> {
         .enumerate()
         .map(|(i, p)| (p.name.clone(), i as Reg))
         .collect())
-}
-
-/// Does evaluating `e` assign to local `name` anywhere? Conservative
-/// (counts shadowed assignments and assignments inside lambdas, which
-/// cannot actually touch the caller's slot) — a false positive only
-/// costs one extra register copy.
-fn mutates(e: &Expr, name: &Name) -> bool {
-    let mut found = false;
-    e.walk(&mut |x| {
-        if let ExprKind::LocalAssign(n, _) = &x.kind {
-            if Arc::ptr_eq(n, name) || **n == **name {
-                found = true;
-            }
-        }
-    });
-    found
 }
 
 /// May `e` be compiled directly into a destination register that holds
@@ -244,7 +299,7 @@ fn writes_only_at_end(e: &Expr) -> bool {
 struct FnCompiler<'b, 'p> {
     b: &'b mut Builder<'p>,
     code: Vec<Instr>,
-    /// The flat binding stack — bigstep's scope chain, flattened.
+    /// The flat binding stack — the scope chain, flattened.
     binds: Vec<(Name, Reg)>,
     /// Register watermark: next free slot.
     next: u16,
@@ -310,8 +365,7 @@ impl FnCompiler<'_, '_> {
         }
     }
 
-    /// Innermost-last slot lookup — the compile-time mirror of
-    /// bigstep's `lookup_local`.
+    /// Innermost-last slot lookup.
     fn resolve(&self, name: &Name) -> Option<Reg> {
         self.binds
             .iter()
@@ -342,7 +396,7 @@ impl FnCompiler<'_, '_> {
             let r = self
                 .resolve(name)
                 .ok_or_else(|| CompileError::named("unresolved local", name))?;
-            if hazards.iter().all(|h| !mutates(h, name)) {
+            if hazards.iter().all(|h| !h.assigns(name)) {
                 return Ok(r);
             }
         }
@@ -515,7 +569,7 @@ impl FnCompiler<'_, '_> {
             ExprKind::ForRange { var, lo, hi, body } => {
                 let w = self.save();
                 // Bounds evaluate once, before the loop variable binds,
-                // in bigstep's order (lo checked before hi evaluates).
+                // in source order (lo checked before hi evaluates).
                 let cnt = self.alloc()?;
                 self.emit(lo, Some(cnt))?;
                 self.push(Instr::CheckNum { src: cnt });
@@ -530,7 +584,7 @@ impl FnCompiler<'_, '_> {
                 // variable in the body must not change iteration. Only
                 // pay for a separate binding register when the body
                 // actually assigns it.
-                let var_r = if mutates(body, var) {
+                let var_r = if body.assigns(var) {
                     Some(self.alloc()?)
                 } else {
                     None
@@ -701,7 +755,7 @@ impl FnCompiler<'_, '_> {
                     done: PENDING,
                 });
                 // The initializer runs with the binding not yet visible
-                // (bigstep pushes the frame only after `set`).
+                // (it binds only after the slot is set).
                 {
                     let w2 = self.save();
                     let tmp = self.alloc()?;
@@ -797,6 +851,9 @@ impl FnCompiler<'_, '_> {
                 self.restore(w);
                 Ok(())
             }
+            ExprKind::Val(_) | ExprKind::Capture(..) => Err(CompileError::plain(
+                "small-step runtime term in program code",
+            )),
         }
     }
 
@@ -837,7 +894,7 @@ impl FnCompiler<'_, '_> {
                 return Ok(());
             }
             // Arity mismatch: fall through to the generic call, which
-            // reports `ArityMismatch` at runtime exactly like bigstep.
+            // reports `ArityMismatch` at runtime.
         }
         let w = self.save();
         let arg_refs: Vec<&Expr> = args.iter().collect();
@@ -859,9 +916,8 @@ impl FnCompiler<'_, '_> {
 
     /// The compile-time provenance record for a `post`/`box.a :=`
     /// operand: the literal's span, or the operand span plus its free
-    /// locals resolved to registers — the mirror of bigstep's runtime
-    /// `provenance_of`. Names that fail to resolve are skipped, exactly
-    /// as bigstep skips names its `lookup_local` misses.
+    /// locals resolved to registers. Names that fail to resolve are
+    /// skipped.
     fn prov_for(&mut self, value: &Expr) -> u32 {
         let spec = if crate::provenance::is_literal_expr(value) {
             ProvSpec::Literal(value.span)
@@ -881,8 +937,8 @@ impl FnCompiler<'_, '_> {
         self.b.prov_spec(spec)
     }
 
-    /// The current binding stack as a `(symbol, register)` capture set —
-    /// bigstep's `capture_env`, resolved at compile time.
+    /// The current binding stack as a `(symbol, register)` capture set:
+    /// every visible binding, outermost first, resolved at compile time.
     fn capture_current(&mut self) -> u32 {
         let mut set = Vec::with_capacity(self.binds.len());
         for i in 0..self.binds.len() {

@@ -1,23 +1,23 @@
 //! The bytecode executor: a register machine over [`Scratch`] windows.
 //!
-//! Each entry point mirrors one of [`crate::bigstep`]'s `transition_*`
-//! functions and must be observationally identical to it: same
-//! `Result`, same store/queue/widget effects in the same order, same
-//! rendered frames byte for byte, and the same `Cost` fields that are
-//! part of the semantics (`boxes_created`, `boxes_reused`, `posts`,
-//! `prim`). Only `cost.steps`/fuel accounting differs — the VM ticks
-//! per instruction rather than per AST node — which is why fault
+//! Each entry point runs one transition body (page `init`, handler
+//! thunk, page `render`, live example) and must agree with the
+//! small-step reference machine ([`crate::smallstep`]): same `Result`,
+//! same store/queue/widget effects in the same order, same rendered
+//! frames. Only `cost.steps`/fuel accounting differs — the VM ticks per
+//! instruction rather than per reduction rule — which is why fault
 //! injection for differential testing uses `before_prim`, never fuel
 //! throttling.
 //!
-//! The entry points return `Option`: `None` means "this transition is
-//! outside the VM subset" (unknown page, a foreign closure from another
-//! program version) and is decided *before any state is touched*, so
-//! the caller can rerun the same transition on bigstep.
+//! Every refusal is a typed [`RuntimeError`] that the system contains
+//! as a fault: an unknown page, page arguments that do not fit the
+//! compiled parameter slots, a closure from another program version
+//! (which the §4.2 no-stale-code invariant rules out), fuel exhaustion,
+//! or a call chain deeper than [`MAX_CALL_DEPTH`].
 
 use std::sync::Arc;
 
-use crate::bigstep::{apply_binop, Cost, RenderHook};
+use super::{apply_binop, Cost, RenderHook, MAX_CALL_DEPTH};
 use crate::boxtree::{BoxItem, BoxNode};
 use crate::error::RuntimeError;
 use crate::event::{Event, EventQueue};
@@ -45,7 +45,7 @@ pub struct RunStats {
 /// Result of one VM transition: the outcome plus cost and VM stats.
 #[derive(Debug)]
 pub struct VmRun<T> {
-    /// The transition result, exactly as bigstep would report it.
+    /// The transition result.
     pub result: Result<T, RuntimeError>,
     /// Semantic cost accounting (see [`Cost`]).
     pub cost: Cost,
@@ -53,9 +53,10 @@ pub struct VmRun<T> {
     pub stats: RunStats,
 }
 
-/// Store access for one run: mutable in state mode, shared otherwise —
-/// the same borrow-level immutability guarantee bigstep's `StoreAccess`
-/// provides.
+/// Store access for one run: mutable in state mode, shared otherwise.
+/// Render and pure code hold only a shared reference, so immutability
+/// of the model during rendering is enforced by the borrow checker on
+/// top of the dynamic mode checks.
 enum StoreView<'a> {
     Mut(&'a mut Store),
     Ref(&'a Store),
@@ -80,8 +81,7 @@ impl StoreView<'_> {
     }
 }
 
-/// One in-flight VM run. Field shapes mirror `bigstep::Evaluator` so
-/// the two engines see identical host state.
+/// One in-flight VM run.
 struct Vm<'a> {
     vmp: &'a VmProgram,
     scratch: &'a mut Scratch,
@@ -94,14 +94,49 @@ struct Vm<'a> {
     version: u64,
     cost: Cost,
     instructions: u64,
-    hook: Option<&'a mut dyn RenderHook>,
+    /// Native call nesting of this run (see [`MAX_CALL_DEPTH`]).
+    depth: u32,
+    hook: Option<&'a mut (dyn RenderHook + 'static)>,
     widgets: Option<&'a mut WidgetStore>,
-    faults: Option<&'a mut dyn FaultInjector>,
+    faults: Option<&'a mut (dyn FaultInjector + 'static)>,
 }
 
 const BAD_CODE: RuntimeError = RuntimeError::Internal("vm: malformed bytecode");
 
+/// A closure whose body this program version did not compile — only
+/// possible for one from another version, which the §4.2 no-stale-code
+/// invariant rules out for checked systems.
+const FOREIGN: RuntimeError = RuntimeError::Internal("vm: closure from another program version");
+
 impl<'a> Vm<'a> {
+    /// A run in `mode` over `store`, with no queue, hook, widget store
+    /// or fault injector (entry points add theirs).
+    fn base(
+        vmp: &'a VmProgram,
+        scratch: &'a mut Scratch,
+        store: StoreView<'a>,
+        mode: Effect,
+        fuel: u64,
+        version: u64,
+    ) -> Self {
+        Vm {
+            vmp,
+            scratch,
+            store,
+            queue: None,
+            mode,
+            boxes: Vec::new(),
+            fuel,
+            version,
+            cost: Cost::default(),
+            instructions: 0,
+            depth: 0,
+            hook: None,
+            widgets: None,
+            faults: None,
+        }
+    }
+
     fn tick(&mut self) -> Result<(), RuntimeError> {
         self.cost.steps += 1;
         if self.fuel == 0 {
@@ -131,8 +166,8 @@ impl<'a> Vm<'a> {
         self.vmp.syms.get(sym as usize).ok_or(BAD_CODE)
     }
 
-    /// Materialize a compile-time capture set into bigstep's
-    /// `capture_env` shape (outermost first, shadowed included).
+    /// Materialize a compile-time capture set into the visible local
+    /// environment (outermost first, shadowed included).
     fn capture_locals(&self, base: usize, cap: u32) -> Result<Vec<(Name, Value)>, RuntimeError> {
         let set = self.vmp.captures.get(cap as usize).ok_or(BAD_CODE)?;
         let mut locals = Vec::with_capacity(set.len());
@@ -146,8 +181,7 @@ impl<'a> Vm<'a> {
 
     /// Materialize a compile-time [`ProvSpec`] into a runtime
     /// [`Provenance`], reading the free-local registers *now* — after
-    /// the operand evaluated — to match bigstep's lookup-after-eval
-    /// snapshot order.
+    /// the operand evaluated (a lookup-after-eval snapshot).
     fn materialize_prov(&self, base: usize, prov: u32) -> Result<Option<Provenance>, RuntimeError> {
         let spec = self.vmp.provs.get(prov as usize).ok_or(BAD_CODE)?;
         Ok(Some(match spec {
@@ -178,9 +212,8 @@ impl<'a> Vm<'a> {
             pc += 1;
             self.instructions += 1;
             // `Ret` and unconditional `Jump` are fuel-free: neither can
-            // form a loop on its own, and charging only value-producing
-            // instructions keeps trivial transitions (`render {}`) at
-            // bigstep-comparable step counts.
+            // form a loop on its own, so charging only value-producing
+            // instructions still bounds every run.
             if !matches!(instr, Instr::Ret { .. } | Instr::Jump { .. }) {
                 self.tick()?;
             }
@@ -199,7 +232,7 @@ impl<'a> Vm<'a> {
                         Some(v) => v.clone(),
                         // EP-GLOBAL-2: fall back to the initializer in
                         // the code, evaluated in an empty scope (a
-                        // fresh window, like bigstep's scope swap).
+                        // fresh window).
                         None => self.run_init(slot.init_chunk)?,
                     };
                     self.scratch.set(base + dst as usize, v)?;
@@ -551,8 +584,7 @@ impl<'a> Vm<'a> {
         }
     }
 
-    /// Hoisted effect-mode checks (run before operand evaluation, like
-    /// bigstep's check-then-evaluate order).
+    /// Hoisted effect-mode checks (run before operand evaluation).
     fn guard(&mut self, op: GuardOp) -> Result<(), RuntimeError> {
         let violation = |op| RuntimeError::EffectViolation {
             op,
@@ -587,14 +619,25 @@ impl<'a> Vm<'a> {
     fn run_init(&mut self, init_chunk: u32) -> Result<Value, RuntimeError> {
         let chunk = self.vmp.chunks.get(init_chunk as usize).ok_or(BAD_CODE)?;
         let regs = chunk.regs;
+        self.enter()?;
         let b = self.scratch.push_window(regs);
         let r = self.exec(init_chunk, b);
         self.scratch.pop_window(b);
+        self.depth -= 1;
         r
     }
 
+    /// Open one native call level, refusing past [`MAX_CALL_DEPTH`].
+    fn enter(&mut self) -> Result<(), RuntimeError> {
+        if self.depth >= MAX_CALL_DEPTH {
+            return Err(RuntimeError::CallDepthExceeded(MAX_CALL_DEPTH));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     /// Apply a first-class callable to `argc` arguments already
-    /// evaluated into registers `args_at..` — bigstep's `apply`.
+    /// evaluated into registers `args_at..` (EP-APP).
     fn call_value(&mut self, f: Value, args_at: usize, argc: u16) -> Result<Value, RuntimeError> {
         self.tick()?;
         match f {
@@ -606,14 +649,8 @@ impl<'a> Vm<'a> {
                     });
                 }
                 // Closures made by this program version always resolve
-                // (every lambda body is registered at compile time); a
-                // miss means a cross-version closure leaked past the
-                // entry pre-checks, which arrow-free store/page/widget
-                // types rule out for checked programs.
-                let l = self
-                    .vmp
-                    .lambda_for(&c.body)
-                    .ok_or(RuntimeError::Internal("vm: foreign closure"))?;
+                // (every lambda body is registered at compile time).
+                let l = self.vmp.lambda_for(&c.body).ok_or(FOREIGN)?;
                 self.call_lambda(l, args_at, argc, Some(&c.env))
             }
             Value::Prim(p) => {
@@ -648,9 +685,27 @@ impl<'a> Vm<'a> {
             // The chunk's frame layout disagrees with the closure —
             // only possible for a foreign (cross-version) closure whose
             // captured environment has a different shape.
-            return Err(RuntimeError::Internal("vm: foreign closure"));
+            return Err(FOREIGN);
         }
+        self.enter()?;
         let nbase = self.scratch.push_window(regs);
+        let r = self.fill_and_exec(chunk_idx, nbase, env, args_at, argc, env_len);
+        self.scratch.pop_window(nbase);
+        self.depth -= 1;
+        r
+    }
+
+    /// Copy the closure environment and arguments into the fresh window
+    /// at `nbase`, then run the chunk there.
+    fn fill_and_exec(
+        &mut self,
+        chunk_idx: u32,
+        nbase: usize,
+        env: Option<&Arc<Vec<(Name, Value)>>>,
+        args_at: usize,
+        argc: u16,
+        env_len: usize,
+    ) -> Result<Value, RuntimeError> {
         if let Some(env) = env {
             for (i, (_, v)) in env.iter().enumerate() {
                 self.scratch.set(nbase + i, v.clone())?;
@@ -660,14 +715,10 @@ impl<'a> Vm<'a> {
             let v = self.scratch.get(args_at + i)?.clone();
             self.scratch.set(nbase + env_len + i, v)?;
         }
-        let r = self.exec(chunk_idx, nbase);
-        self.scratch.pop_window(nbase);
-        r
+        self.exec(chunk_idx, nbase)
     }
 
-    /// Seed a window with entry bindings and run a root chunk — the VM
-    /// half of `transition_state`/`transition_render` (no extra tick:
-    /// the first instruction's tick mirrors the root node's).
+    /// Seed a window with entry bindings and run a root chunk.
     fn run_entry(
         &mut self,
         chunk_idx: u32,
@@ -684,7 +735,8 @@ impl<'a> Vm<'a> {
         r
     }
 
-    /// Apply a handler thunk — bigstep's `apply` at the THUNK boundary.
+    /// Apply a handler thunk at the THUNK boundary (EP-APP in state
+    /// mode).
     fn run_thunk(&mut self, thunk: &Value, args: &[Value]) -> Result<Value, RuntimeError> {
         self.tick()?;
         match thunk {
@@ -695,10 +747,7 @@ impl<'a> Vm<'a> {
                         found: args.len(),
                     });
                 }
-                let l = self
-                    .vmp
-                    .lambda_for(&c.body)
-                    .ok_or(RuntimeError::Internal("vm: foreign closure"))?;
+                let l = self.vmp.lambda_for(&c.body).ok_or(FOREIGN)?;
                 let argc = args.len() as u16;
                 let sbase = self.scratch.push_window(argc);
                 for (i, v) in args.iter().enumerate() {
@@ -728,23 +777,32 @@ impl<'a> Vm<'a> {
     }
 }
 
-/// Can the VM run this thunk? `None` when it cannot — decided before
-/// any state is touched so bigstep can take over cleanly.
-fn thunk_entry(vmp: &VmProgram, thunk: &Value, args: &[Value]) -> Option<()> {
-    if args.len() > u16::MAX as usize {
-        return None;
+/// Look up a compiled page whose parameter slots fit `bindings` (same
+/// names, same order).
+fn page_entry<'v>(
+    vmp: &'v VmProgram,
+    page: &str,
+    bindings: &[(Name, Value)],
+) -> Result<&'v super::PageEntry, RuntimeError> {
+    let entry = vmp
+        .pages
+        .get(page)
+        .ok_or_else(|| RuntimeError::UnknownPage(Arc::from(page)))?;
+    if !bindings_match(&entry.params, bindings) {
+        return Err(RuntimeError::Internal(
+            "vm: page arguments do not fit the page",
+        ));
     }
-    if let Value::Closure(c) = thunk {
-        let l = vmp.lambda_for(&c.body)?;
-        let info = vmp.lambdas.get(l as usize)?;
-        let chunk = vmp.chunks.get(info.chunk as usize)?;
-        if c.env.len() != chunk.env_len as usize {
-            return None;
-        }
+    Ok(entry)
+}
+
+/// A run refused before it started: no state touched, nothing spent.
+fn refused<T>(error: RuntimeError) -> VmRun<T> {
+    VmRun {
+        result: Err(error),
+        cost: Cost::default(),
+        stats: RunStats::default(),
     }
-    // Prims and non-callables are fully handled by the VM (the latter
-    // report `NotAFunction` exactly like bigstep).
-    Some(())
 }
 
 /// Do the entry bindings line up with the compiled page's parameter
@@ -757,9 +815,10 @@ fn bindings_match(params: &[crate::expr::ParamSig], bindings: &[(Name, Value)]) 
             .all(|(p, (n, _))| Arc::ptr_eq(&p.name, n) || *p.name == **n)
 }
 
-/// VM counterpart of [`crate::bigstep::transition_thunk`]. Returns
-/// `None` — with no state touched — when the thunk is outside the VM
-/// subset (e.g. a closure from another program version).
+/// The THUNK transition body: apply a handler `thunk` to `args` in
+/// state mode. A closure from another program version (ruled out for
+/// checked systems by the §4.2 no-stale-code invariant) is refused
+/// with [`RuntimeError::Internal`] before any state is touched.
 #[allow(clippy::too_many_arguments)] // mirrors the σ components + extras
 pub fn transition_thunk(
     vmp: &VmProgram,
@@ -771,38 +830,37 @@ pub fn transition_thunk(
     thunk: &Value,
     args: &[Value],
     widgets: Option<&mut WidgetStore>,
-    faults: Option<&mut (dyn FaultInjector + '_)>,
-) -> Option<VmRun<Value>> {
-    thunk_entry(vmp, thunk, args)?;
+    faults: Option<&mut (dyn FaultInjector + 'static)>,
+) -> VmRun<Value> {
+    if args.len() > usize::from(u16::MAX) {
+        return refused(RuntimeError::Internal("vm: too many handler arguments"));
+    }
     scratch.begin();
-    let mut faults = faults.map(crate::bigstep::ReborrowFaults);
     let mut vm = Vm {
-        vmp,
-        scratch,
-        store: StoreView::Mut(store),
         queue: Some(queue),
-        mode: Effect::State,
-        boxes: Vec::new(),
-        fuel,
-        version,
-        cost: Cost::default(),
-        instructions: 0,
-        hook: None,
         widgets,
-        faults: faults.as_mut().map(|f| f as &mut dyn FaultInjector),
+        faults,
+        ..Vm::base(
+            vmp,
+            scratch,
+            StoreView::Mut(store),
+            Effect::State,
+            fuel,
+            version,
+        )
     };
     let result = vm.run_thunk(thunk, args);
     let (cost, stats) = (vm.cost, vm.stats());
-    Some(VmRun {
+    VmRun {
         result,
         cost,
         stats,
-    })
+    }
 }
 
-/// VM counterpart of [`crate::bigstep::transition_state`] for a page
-/// `init` body. Returns `None` — with no state touched — when the page
-/// or its bindings don't match the compiled program.
+/// The PUSH transition body: run page `page`'s `init` in state mode
+/// with its parameters bound. An unknown page, or bindings that do not
+/// fit its parameters, is refused with no state touched.
 #[allow(clippy::too_many_arguments)] // mirrors the σ components + extras
 pub fn transition_page_init(
     vmp: &VmProgram,
@@ -814,41 +872,36 @@ pub fn transition_page_init(
     page: &str,
     bindings: &[(Name, Value)],
     widgets: Option<&mut WidgetStore>,
-    faults: Option<&mut (dyn FaultInjector + '_)>,
-) -> Option<VmRun<Value>> {
-    let entry = vmp.pages.get(page)?;
-    if !bindings_match(&entry.params, bindings) {
-        return None;
-    }
-    let init_chunk = entry.init_chunk;
+    faults: Option<&mut (dyn FaultInjector + 'static)>,
+) -> VmRun<Value> {
+    let init_chunk = match page_entry(vmp, page, bindings) {
+        Ok(entry) => entry.init_chunk,
+        Err(error) => return refused(error),
+    };
     scratch.begin();
-    let mut faults = faults.map(crate::bigstep::ReborrowFaults);
     let mut vm = Vm {
-        vmp,
-        scratch,
-        store: StoreView::Mut(store),
         queue: Some(queue),
-        mode: Effect::State,
-        boxes: Vec::new(),
-        fuel,
-        version,
-        cost: Cost::default(),
-        instructions: 0,
-        hook: None,
         widgets,
-        faults: faults.as_mut().map(|f| f as &mut dyn FaultInjector),
+        faults,
+        ..Vm::base(
+            vmp,
+            scratch,
+            StoreView::Mut(store),
+            Effect::State,
+            fuel,
+            version,
+        )
     };
     let result = vm.run_entry(init_chunk, bindings);
     let (cost, stats) = (vm.cost, vm.stats());
-    Some(VmRun {
+    VmRun {
         result,
         cost,
         stats,
-    })
+    }
 }
 
-/// VM counterpart of [`crate::bigstep::run_pure`] for a live example
-/// chunk: evaluate example `index`'s body (or, with `expect` set, its
+/// Run a live example chunk: evaluate example `index`'s body (or, with `expect` set, its
 /// `expect` clause) in pure mode against a read-only store. Returns
 /// `None` — with no state touched — when the index is out of range or
 /// the example has no `expect` clause.
@@ -868,21 +921,14 @@ pub fn run_example(
         slot.body_chunk
     };
     scratch.begin();
-    let mut vm = Vm {
+    let mut vm = Vm::base(
         vmp,
         scratch,
-        store: StoreView::Ref(store),
-        queue: None,
-        mode: Effect::Pure,
-        boxes: Vec::new(),
+        StoreView::Ref(store),
+        Effect::Pure,
         fuel,
         version,
-        cost: Cost::default(),
-        instructions: 0,
-        hook: None,
-        widgets: None,
-        faults: None,
-    };
+    );
     let result = vm.run_entry(chunk, &[]);
     let (cost, stats) = (vm.cost, vm.stats());
     Some(VmRun {
@@ -892,10 +938,10 @@ pub fn run_example(
     })
 }
 
-/// VM counterpart of [`crate::bigstep::transition_render`]. Returns
-/// `None` — with no state touched — when the page or its bindings don't
-/// match the compiled program. The widget store's occurrence counters
-/// must be reset (`begin_render`) by the caller, as with bigstep.
+/// The RENDER transition body: run page `page`'s `render` in render
+/// mode, building the box tree. Refused like
+/// [`transition_page_init`]. The widget store's occurrence counters
+/// must be reset (`begin_render`) by the caller.
 #[allow(clippy::too_many_arguments)] // mirrors the σ components + extras
 pub fn transition_page_render(
     vmp: &VmProgram,
@@ -905,35 +951,31 @@ pub fn transition_page_render(
     fuel: u64,
     page: &str,
     bindings: &[(Name, Value)],
-    hook: Option<&mut (dyn RenderHook + '_)>,
+    hook: Option<&mut (dyn RenderHook + 'static)>,
     widgets: Option<&mut WidgetStore>,
-    faults: Option<&mut (dyn FaultInjector + '_)>,
-) -> Option<VmRun<BoxNode>> {
-    let entry = vmp.pages.get(page)?;
-    if !bindings_match(&entry.params, bindings) {
-        return None;
-    }
-    let render_chunk = entry.render_chunk;
+    faults: Option<&mut (dyn FaultInjector + 'static)>,
+) -> VmRun<BoxNode> {
+    let render_chunk = match page_entry(vmp, page, bindings) {
+        Ok(entry) => entry.render_chunk,
+        Err(error) => return refused(error),
+    };
     scratch.begin();
     let mut spine = scratch.take_box_spine();
     spine.push(BoxNode::new(None));
-    let mut hook = hook.map(crate::bigstep::ReborrowHook);
-    let mut faults = faults.map(crate::bigstep::ReborrowFaults);
     let run = {
         let mut vm = Vm {
-            vmp,
-            scratch,
-            store: StoreView::Ref(store),
-            queue: None,
-            mode: Effect::Render,
             boxes: spine,
-            fuel,
-            version,
-            cost: Cost::default(),
-            instructions: 0,
-            hook: hook.as_mut().map(|h| h as &mut dyn RenderHook),
+            hook,
             widgets,
-            faults: faults.as_mut().map(|f| f as &mut dyn FaultInjector),
+            faults,
+            ..Vm::base(
+                vmp,
+                scratch,
+                StoreView::Ref(store),
+                Effect::Render,
+                fuel,
+                version,
+            )
         };
         let result = vm.run_entry(render_chunk, bindings).and_then(|_| {
             vm.boxes
@@ -946,9 +988,9 @@ pub fn transition_page_render(
     };
     let (result, cost, stats, spine) = run;
     scratch.return_box_spine(spine);
-    Some(VmRun {
+    VmRun {
         result,
         cost,
         stats,
-    })
+    }
 }

@@ -1,38 +1,36 @@
-//! Register-based bytecode VM for the eval hot path (ROADMAP item 3).
+//! The production evaluator: a register-based bytecode VM.
 //!
-//! [`crate::bigstep`] is a tree walker: every evaluation step re-matches
-//! an `ExprKind`, every variable reference scans the environment chain,
-//! and every call clones name/value pairs into fresh `Vec` frames. This
-//! module compiles a checked [`Program`] once into a compact
-//! register-based bytecode ([`VmProgram`]) and executes transitions on a
-//! pooled register stack ([`Scratch`]):
+//! This module compiles a checked [`Program`] once into a compact
+//! register-based bytecode ([`VmProgram`]) and executes every INIT,
+//! HANDLER, RENDER and example transition on a pooled register stack
+//! ([`Scratch`]):
 //!
 //! * **Interning** — global names, page names, and every local binding
 //!   name are interned into `u32` symbol IDs at compile time; the
 //!   instruction stream carries only integers.
 //! * **Slot resolution** — local variable lookups are resolved to frame
-//!   slot indices by the compiler, eliminating the `lookup_local` walk
-//!   entirely. The compile-time binding stack mirrors bigstep's
-//!   flattened scope chain exactly (shadowed entries included), so
-//!   closure environments and render-hook capture lists are
-//!   byte-identical to the tree walker's.
+//!   slot indices by the compiler. The compile-time binding stack is
+//!   the flattened scope chain (shadowed entries included), so a
+//!   closure captures every visible binding, outermost first.
 //! * **Arena frames** — per-frame `Value`s live in one contiguous
 //!   register stack with an epoch reset per transition
 //!   ([`Scratch::begin`]); the render spine (`Vec<BoxNode>`) is pooled
 //!   the same way.
+//! * **Budgets** — fuel bounds the work of one transition, and
+//!   [`MAX_CALL_DEPTH`] bounds its native call nesting: a run over
+//!   either budget ends in a typed [`RuntimeError`], which the system
+//!   contains as a `Fault` with rollback.
 //!
-//! # Relationship to the oracles
+//! # Relationship to the reference semantics
 //!
-//! The VM is an *optimization*, never a semantic fork: for every
-//! transition it must produce the same `Result`, the same store/queue/
-//! widget effects, and byte-identical rendered frames as
-//! [`crate::bigstep`], which in turn is cross-checked against the
-//! substitution machine in [`crate::smallstep`]. Anything the compiler
-//! cannot prove it can reproduce exactly — unresolvable names, foreign
-//! closures from another program version — falls back to bigstep at the
-//! transition boundary instead of approximating (see
-//! [`crate::system::EvalEngine`]). `tests/vm_differential.rs` holds the
-//! three-way differential walk.
+//! The VM is the only production evaluator. Its reference is the
+//! paper's Fig. 8 small-step machine in [`crate::smallstep`]: for every
+//! transition the two must produce the same `Result`, the same
+//! store/queue/widget effects, and the same rendered frames (provenance
+//! aside, which the substitution machine does not track; it is checked
+//! by re-evaluating each tagged expression instead). Only step and fuel
+//! counts differ — the VM ticks per instruction, the machine per rule.
+//! `tests/vm_differential.rs` holds the differential walks.
 
 mod arena;
 mod compile;
@@ -40,6 +38,7 @@ mod exec;
 
 pub use arena::Scratch;
 pub use compile::CompileError;
+pub(crate) use compile::{frame_bound, FRAME_LIMIT};
 pub use exec::{
     run_example, transition_page_init, transition_page_render, transition_thunk, RunStats, VmRun,
 };
@@ -51,10 +50,159 @@ use alive_syntax::ast::BinOp;
 use alive_syntax::Span;
 
 use crate::attr::Attr;
-use crate::expr::Expr;
+use crate::boxtree::BoxNode;
+use crate::error::RuntimeError;
+use crate::expr::{BoxSourceId, Expr};
+use crate::prim::PrimCtx;
 use crate::program::Program;
 use crate::types::{Effect, Name};
 use crate::value::Value;
+
+/// Default step budget for one transition's worth of evaluation.
+pub const DEFAULT_FUEL: u64 = 50_000_000;
+
+/// Stack size, in bytes, of every thread that evaluates user code in a
+/// host (the serve crate's workers spawn with exactly this). The VM
+/// recurses natively once per call, so this is what
+/// [`MAX_CALL_DEPTH`] is derived from.
+pub const EVAL_STACK_BYTES: usize = 64 << 20;
+
+/// An upper bound on the native stack one VM call level uses: about
+/// 24 KiB measured on unoptimized builds, rounded up for headroom
+/// (optimized builds use about 1.2 KiB).
+const CALL_FRAME_BYTES: usize = 32 << 10;
+
+/// Call-nesting budget of one transition (1,536 calls): a run that
+/// nests deeper ends in [`RuntimeError::CallDepthExceeded`] (a contained
+/// fault), never a stack overflow. Derived from [`EVAL_STACK_BYTES`],
+/// keeping a quarter of the stack for the host's own frames, so a chain
+/// at the budget runs on a thread of that size in debug and release
+/// builds alike.
+pub const MAX_CALL_DEPTH: u32 = (EVAL_STACK_BYTES / 4 * 3 / CALL_FRAME_BYTES) as u32;
+
+/// Deterministic cost accounting for one or more evaluation runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Cost {
+    /// Evaluation steps taken (VM instructions that burn fuel).
+    pub steps: u64,
+    /// Boxes created by `boxed`.
+    pub boxes_created: u64,
+    /// Boxes spliced from the reuse cache instead of re-evaluated.
+    pub boxes_reused: u64,
+    /// Leaves posted by `post`.
+    pub posts: u64,
+    /// Simulated external latency and request counts.
+    pub prim: PrimCtx,
+}
+
+impl Cost {
+    /// Merge another cost record into this one.
+    pub fn absorb(&mut self, other: Cost) {
+        self.steps += other.steps;
+        self.boxes_created += other.boxes_created;
+        self.boxes_reused += other.boxes_reused;
+        self.posts += other.posts;
+        self.prim.simulated_ms += other.prim.simulated_ms;
+        self.prim.web_requests += other.prim.web_requests;
+    }
+}
+
+/// Interception points around `boxed` evaluation, used by the paper's
+/// §5 box-tree reuse optimization ("reuse box tree elements that have
+/// not changed").
+pub trait RenderHook {
+    /// Called when entering `boxed e`. Returning `Some((node, value))`
+    /// skips evaluating the body and splices the cached subtree in —
+    /// an O(1) pointer copy, since children are `Arc`-shared.
+    /// `locals` is the visible local environment, outermost first.
+    fn enter_boxed(
+        &mut self,
+        id: BoxSourceId,
+        locals: &[(Name, Value)],
+    ) -> Option<(Arc<BoxNode>, Value)>;
+
+    /// Called after a `boxed` body evaluated to `node` / `value`, so the
+    /// hook can populate its cache. The node is already shared; caching
+    /// it keeps the subtree pointer-identical on future splices.
+    fn after_boxed(
+        &mut self,
+        id: BoxSourceId,
+        locals: &[(Name, Value)],
+        node: &Arc<BoxNode>,
+        value: &Value,
+    );
+}
+
+/// Apply a (non-short-circuit) binary operator to values — shared by
+/// the VM and the small-step machine's X-OP rule.
+///
+/// # Errors
+///
+/// [`RuntimeError::TypeMismatch`] on operands of the wrong kind.
+pub fn apply_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value, RuntimeError> {
+    use BinOp::*;
+    let num = |v: &Value| match v {
+        Value::Number(n) => Ok(*n),
+        other => Err(RuntimeError::TypeMismatch {
+            expected: "number",
+            found: other.display_text(),
+        }),
+    };
+    Ok(match op {
+        Add => Value::Number(num(l)? + num(r)?),
+        Sub => Value::Number(num(l)? - num(r)?),
+        Mul => Value::Number(num(l)? * num(r)?),
+        Div => Value::Number(num(l)? / num(r)?),
+        Mod => Value::Number(num(l)?.rem_euclid(num(r)?)),
+        Concat => {
+            let coerce = |v: &Value| -> Result<String, RuntimeError> {
+                match v {
+                    Value::Str(_) | Value::Number(_) | Value::Bool(_) | Value::Color(_) => {
+                        Ok(v.display_text())
+                    }
+                    other => Err(RuntimeError::TypeMismatch {
+                        expected: "string, number, bool, or color",
+                        found: other.display_text(),
+                    }),
+                }
+            };
+            Value::str(format!("{}{}", coerce(l)?, coerce(r)?))
+        }
+        Eq => Value::Bool(l == r),
+        Ne => Value::Bool(l != r),
+        Lt | Le | Gt | Ge => {
+            let ordering = match (l, r) {
+                (Value::Number(a), Value::Number(b)) => a.partial_cmp(b),
+                (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
+                _ => {
+                    return Err(RuntimeError::TypeMismatch {
+                        expected: "two numbers or two strings",
+                        found: format!("{} and {}", l.display_text(), r.display_text()),
+                    })
+                }
+            };
+            // NaN comparisons are false, as in IEEE.
+            let Some(ordering) = ordering else {
+                return Ok(Value::Bool(false));
+            };
+            Value::Bool(match op {
+                Lt => ordering.is_lt(),
+                Le => ordering.is_le(),
+                Gt => ordering.is_gt(),
+                _ => ordering.is_ge(),
+            })
+        }
+        And | Or => {
+            let (Value::Bool(a), Value::Bool(b)) = (l, r) else {
+                return Err(RuntimeError::TypeMismatch {
+                    expected: "bool",
+                    found: format!("{} and {}", l.display_text(), r.display_text()),
+                });
+            };
+            Value::Bool(if op == And { *a && *b } else { *a || *b })
+        }
+    })
+}
 
 /// A register index within the current frame window.
 pub(crate) type Reg = u16;
@@ -115,19 +263,19 @@ pub(crate) enum Instr {
     /// `dst = !src` (bool-checked).
     Not { dst: Reg, src: Reg },
     /// Foreach step: if `idx < len(list)` then `var = list[idx]; idx += 1`
-    /// else jump to `exit`. Errors like bigstep on non-lists.
+    /// else jump to `exit`. Errors with `TypeMismatch` on non-lists.
     IterNext {
         list: Reg,
         idx: Reg,
         var: Reg,
         exit: u32,
     },
-    /// Effect-mode check, emitted *before* operand evaluation to match
-    /// the tree walker's check-then-evaluate order.
+    /// Effect-mode check, emitted *before* operand evaluation
+    /// (check-then-evaluate order).
     Guard { op: GuardOp },
     /// Widget-write guard: state-mode check plus `src` must hold a
     /// `WidgetRef`, which is copied to `key` so the slot key is pinned
-    /// before the value expression runs (bigstep resolves it first).
+    /// before the value expression runs.
     GuardWidget { src: Reg, key: Reg },
     /// Enqueue `Event::Push(pages[page], (args…))`.
     PushEvent { page: u32, base: Reg, argc: u16 },
@@ -147,7 +295,7 @@ pub(crate) enum Instr {
     /// indexes the program's [`ProvSpec`] table; the executor
     /// materializes it into a [`crate::provenance::Provenance`] by
     /// reading the listed registers *at this instruction* — after the
-    /// operand ran, matching bigstep's lookup-after-eval order.
+    /// operand ran (a lookup-after-eval snapshot).
     PostLeaf { src: Reg, prov: u32 },
     /// `box.attr := src` on the open box (`prov` as in `PostLeaf`).
     SetAttr { attr: Attr, src: Reg, prov: u32 },
@@ -184,7 +332,7 @@ pub(crate) enum GuardOp {
 /// Compile-time provenance for one `post`/`box.a :=` operand: the
 /// literal's span, or the expression span plus its free locals resolved
 /// to `(symbol, register)` pairs in [`crate::provenance::free_locals`]
-/// order — the compile-time mirror of bigstep's `provenance_of`.
+/// order, read at the `PostLeaf`/`SetAttr` instruction.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum ProvSpec {
     /// The operand is a literal occurrence.
@@ -218,11 +366,10 @@ pub(crate) struct LambdaInfo {
     pub params: Arc<[crate::expr::ParamSig]>,
     pub effect: Effect,
     /// The source body — closures built by the VM share this `Arc`, so
-    /// bigstep can apply them and the executor can recognize its own
-    /// closures by pointer.
+    /// the executor can recognize its own closures by pointer.
     pub body: Arc<Expr>,
-    /// `(symbol, register)` pairs to capture, in bigstep `capture_env`
-    /// order (outermost first, shadowed entries included).
+    /// `(symbol, register)` pairs to capture: every visible binding,
+    /// outermost first, shadowed entries included.
     pub captures: Arc<[(u32, Reg)]>,
 }
 
@@ -275,14 +422,14 @@ pub struct VmProgram {
 }
 
 impl VmProgram {
-    /// Compile `program` to bytecode. Errors mean "this program (or one
-    /// construct in it) is outside the VM subset" — the caller falls
-    /// back to the tree walker, it is never a user-visible failure.
+    /// Compile `program` to bytecode. A checked program always
+    /// compiles (the checker also rejects register frames over the
+    /// compiler's capacity); an error means the program bypassed the
+    /// checker, and the system reports it as a contained fault.
     ///
     /// # Errors
     ///
-    /// [`CompileError`] on unresolvable names (programs that bypassed
-    /// the type checker) or compiler capacity limits.
+    /// [`CompileError`] on unresolvable names or over-capacity frames.
     pub fn compile(program: &Program) -> Result<VmProgram, CompileError> {
         let start = std::time::Instant::now();
         let mut vmp = compile::compile_program(program)?;
@@ -317,18 +464,8 @@ impl VmProgram {
         self.syms.len()
     }
 
-    /// Number of compiled chunks (function/page/global bodies).
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// Total instructions across all chunks.
-    pub fn instruction_count(&self) -> usize {
-        self.chunks.iter().map(|c| c.code.len()).sum()
-    }
-
-    /// The lambda index for a closure body created by this program (or
-    /// by bigstep from the same program version), if any.
+    /// The lambda index for a closure body created by this program
+    /// version, if any.
     pub(crate) fn lambda_for(&self, body: &Arc<Expr>) -> Option<u32> {
         self.by_body.get(&(Arc::as_ptr(body) as usize)).copied()
     }

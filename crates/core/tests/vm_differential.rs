@@ -1,32 +1,47 @@
-//! Three-way differential testing of the bytecode VM (ROADMAP item 3).
-//!
-//! The VM is an optimization of the bigstep tree walker, which in turn
-//! refines the small-step substitution calculus. This suite holds all
-//! three together on randomly generated well-typed programs:
+//! Differential testing of the bytecode VM against the small-step
+//! reference semantics (`smallstep`, the paper's Fig. 8 extended to the
+//! whole language) on randomly generated well-typed programs and on
+//! the whole scenario corpus:
 //!
 //! 1. **Bodies** — page init/render bodies evaluate to the same values,
-//!    stores, queues, and box trees under smallstep, bigstep, and the
-//!    VM, with identical prim-call accounting.
+//!    stores, queues, view state, box trees (closures included, byte
+//!    for byte) and prim-call accounting under both machines.
 //! 2. **Systems** — a 256-step random walk (taps, backs, cascades)
-//!    drives one `System` per engine; after every step the stores,
-//!    queues, page stacks, view state, and rendered frames must be
-//!    byte-identical, and the VM must never have silently fallen back.
+//!    drives one VM `System`; before every transition the reference
+//!    machine runs the same transition from the pre-state the system's
+//!    accessors expose, and the outcome, store, queue, page stack, view
+//!    state and rendered frame must agree.
 //! 3. **Faults** — the same walk under a deterministically injected
-//!    prim-fault schedule: both engines fault on the same calls and
-//!    roll back to byte-identical checkpoints.
+//!    prim-fault schedule, replayed in lockstep into the reference: both
+//!    fault on the same calls and roll back to the same state.
+//! 4. **Corpus** — every scenario program walked the same way, with its
+//!    example probes compared value for value.
 //!
-//! Every case is seed-replayable: a failure prints the seed and
+//! Provenance is not compared (the substitution machine does not track
+//! it; `tests/repair_roundtrip.rs` re-evaluates it instead), nor are
+//! step and fuel counts, which the machines count differently. Every
+//! case is seed-replayable: a failure prints the seed and
 //! `ALIVE_TESTKIT_SEED=<seed>` reruns it, fault schedule included.
 
-use alive_core::event::EventQueue;
+use std::sync::Arc;
+
+use alive_core::boxtree::{BoxNode, Display};
+use alive_core::event::{Event, EventQueue};
+use alive_core::fault::{Fault, FaultInjector};
 use alive_core::prim::Prim;
+use alive_core::smallstep::{self, Host};
 use alive_core::store::Store;
-use alive_core::system::{EvalEngine, System, SystemConfig};
+use alive_core::system::{StepKind, System, SystemConfig};
+use alive_core::types::Name;
 use alive_core::widget::WidgetStore;
-use alive_core::{bigstep, compile, smallstep, vm};
+use alive_core::{compile, vm, Effect, RuntimeError, Value, START_PAGE};
 use alive_testkit::{prop, prop_assert, prop_assert_eq, FaultPlan, NoShrink, Rng};
 
 const FUEL: u64 = 5_000_000;
+
+/// The reference machine's budget: it counts one step per rule, so it
+/// gets ample fuel; the walks never come near it.
+const REFERENCE_FUEL: u64 = 500_000_000;
 
 // ---------------------------------------------------------------------
 // Program generator
@@ -85,10 +100,9 @@ fn num_expr(rng: &mut Rng, vars: &[&str], depth: usize) -> String {
 }
 
 /// A random sequence of init statements: lets, global writes, bounded
-/// while loops, foreach over a literal list, lambda binding and calls.
-/// With `kernel` set, stays inside the small-step kernel (no local
-/// assignment, so `while` counts on a global instead).
-fn init_stmts(rng: &mut Rng, kernel: bool) -> String {
+/// while loops over a mutable local, foreach over a literal list,
+/// lambda binding and calls.
+fn init_stmts(rng: &mut Rng) -> String {
     let mut out = String::new();
     let e1 = num_expr(rng, &[], 3);
     let e2 = num_expr(rng, &["x1"], 3);
@@ -96,19 +110,10 @@ fn init_stmts(rng: &mut Rng, kernel: bool) -> String {
     for _ in 0..rng.below(3) {
         match rng.below(5) {
             0 => out.push_str(&format!("ga := {};\n", num_expr(rng, &["x1", "x2"], 3))),
-            1 => {
-                if kernel {
-                    out.push_str(&format!(
-                        "gb := 0;\nwhile gb < {} {{ gb := gb + inc(1); }}\n",
-                        rng.below(6)
-                    ));
-                } else {
-                    out.push_str(&format!(
-                        "let i = 0;\nwhile i < {} {{ gb := gb + inc(i); i := i + 1; }}\n",
-                        rng.below(6)
-                    ));
-                }
-            }
+            1 => out.push_str(&format!(
+                "let i = 0;\nwhile i < {} {{ gb := gb + inc(i); i := i + 1; }}\n",
+                rng.below(6)
+            )),
             2 => out.push_str(&format!(
                 "foreach v in [{}, {}, {}] {{ ga := ga + v; }}\n",
                 num_expr(rng, &["x1"], 2),
@@ -130,8 +135,7 @@ fn init_stmts(rng: &mut Rng, kernel: bool) -> String {
     out
 }
 
-/// Render statements without `remember` or handlers — the subset the
-/// small-step machine also evaluates, for the three-way body check.
+/// Plain render statements: boxes, posts, attributes, loops.
 fn render_stmts_plain(rng: &mut Rng) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -152,31 +156,13 @@ fn render_stmts_plain(rng: &mut Rng) -> String {
     out
 }
 
-/// A whole program for the body-level three-way check (smallstep does
-/// not evaluate `remember` or handler closures, so they are left out).
-fn arb_plain_program(rng: &mut Rng) -> String {
-    let ga = rng.below(50);
-    let gb = rng.below(50);
-    let init = init_stmts(rng, true);
-    let render = render_stmts_plain(rng);
-    format!(
-        "global ga : number = {ga}
-         global gb : number = {gb}
-         fun inc(x: number): number pure {{ x + 1 }}
-         page start() {{
-             init {{ {init} }}
-             render {{ {render} }}
-         }}"
-    )
-}
-
-/// A whole program for the system-level walk: the plain subset plus
-/// `remember`, tap handlers (global writes, prim calls, push/pop), and
-/// a parameterized second page.
+/// A whole program: the plain statements plus `remember`, tap handlers
+/// (global, local and view-state writes, prim calls, push/pop), and a
+/// parameterized second page.
 fn arb_walk_program(rng: &mut Rng) -> String {
     let ga = rng.below(50);
     let gb = rng.below(50);
-    let init = init_stmts(rng, false);
+    let init = init_stmts(rng);
     let render = render_stmts_plain(rng);
     let hits0 = rng.below(5);
     let h1 = num_expr(rng, &[], 2);
@@ -192,11 +178,16 @@ fn arb_walk_program(rng: &mut Rng) -> String {
                  boxed {{
                      remember hits : number = {hits0};
                      post \"hits \" ++ hits;
-                     on tap {{ ga := ga + math.abs({h1}); }}
+                     on tap {{ ga := ga + math.abs({h1}); hits := hits + 1; }}
                  }}
                  boxed {{
                      post \"go\";
                      on tap {{ push detail(gb + math.abs({h2})); }}
+                 }}
+                 let k = ga;
+                 boxed {{
+                     post \"k \" ++ k;
+                     on tap {{ k := k + 1; gb := gb + k; }}
                  }}
              }}
          }}
@@ -210,15 +201,260 @@ fn arb_walk_program(rng: &mut Rng) -> String {
 }
 
 // ---------------------------------------------------------------------
-// 1. Body-level three-way agreement
+// Comparison helpers
+// ---------------------------------------------------------------------
+
+/// Byte-level comparison key: generated programs are free to overflow
+/// to `inf`/`NaN` over a long walk, and `f64`'s `PartialEq` would call
+/// two byte-identical NaN frames unequal — so comparisons go through
+/// the `Debug` rendering.
+fn dbg<T: std::fmt::Debug>(t: T) -> String {
+    format!("{t:?}")
+}
+
+/// Bind a page's parameters from its argument tuple (as the system does).
+fn page_bindings(params: &[alive_core::expr::ParamSig], arg: &Value) -> Vec<(Name, Value)> {
+    match arg {
+        Value::Tuple(vs) if vs.len() == params.len() => params
+            .iter()
+            .zip(vs.iter())
+            .map(|(p, v)| (p.name.clone(), v.clone()))
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
+// ---------------------------------------------------------------------
+// The reference transition
+// ---------------------------------------------------------------------
+
+/// The outcome of the transition `System::step` takes next, as the
+/// small-step reference machine computes it from the system's state.
+struct Expected {
+    kind: StepKind,
+    error: Option<RuntimeError>,
+    store: Store,
+    page_stack: Vec<(Name, Value)>,
+    queue: EventQueue,
+    widgets: WidgetStore,
+    /// The rendered tree of a successful RENDER.
+    root: Option<BoxNode>,
+}
+
+/// Run the next Fig. 9 transition on the reference machine, from the
+/// pre-state `system` exposes: STARTUP, THUNK / PUSH / POP (rolled back
+/// on error), or RENDER (view state rolled back on error).
+fn reference_step(system: &System, faults: Option<&mut (dyn FaultInjector + 'static)>) -> Expected {
+    let program = system.program();
+    let version = system.version();
+    let mut expected = Expected {
+        kind: StepKind::Stable,
+        error: None,
+        store: system.store().clone(),
+        page_stack: system.page_stack().to_vec(),
+        queue: system.queue().clone(),
+        widgets: system.widgets().clone(),
+        root: None,
+    };
+    let e = &mut expected;
+    if e.page_stack.is_empty() && e.queue.is_empty() {
+        e.queue
+            .enqueue(Event::Push(Arc::from(START_PAGE), Value::unit()));
+        e.kind = StepKind::Startup;
+        return expected;
+    }
+    if let Some(event) = e.queue.dequeue() {
+        let checkpoint = (
+            e.store.clone(),
+            e.page_stack.clone(),
+            e.queue.clone(),
+            e.widgets.clone(),
+        );
+        let host = Host {
+            queue: Some(&mut e.queue),
+            widgets: Some(&mut e.widgets),
+            faults,
+            version,
+        };
+        let result = match event {
+            Event::Exec(thunk, args) => {
+                e.kind = StepKind::Thunk;
+                smallstep::apply(program, &mut e.store, host, REFERENCE_FUEL, &thunk, &args)
+                    .map(|_| ())
+            }
+            Event::Push(page, arg) => {
+                e.kind = StepKind::Push;
+                let result = match program.page(&page) {
+                    None => Err(RuntimeError::UnknownPage(page.clone())),
+                    Some(def) => smallstep::run(
+                        program,
+                        &mut e.store,
+                        Effect::State,
+                        host,
+                        REFERENCE_FUEL,
+                        &page_bindings(&def.params, &arg),
+                        &def.init,
+                    )
+                    .map(|_| ()),
+                };
+                if result.is_ok() {
+                    e.page_stack.push((page, arg));
+                }
+                result
+            }
+            Event::Pop => {
+                e.kind = StepKind::Pop;
+                e.page_stack.pop();
+                Ok(())
+            }
+        };
+        if let Err(error) = result {
+            (e.store, e.page_stack, e.queue, e.widgets) = checkpoint;
+            e.error = Some(error);
+        }
+        return expected;
+    }
+    if let (Display::Invalid, Some((page, arg))) = (system.display(), e.page_stack.last()) {
+        e.kind = StepKind::Render;
+        let checkpoint = e.widgets.clone();
+        e.widgets.begin_render();
+        let def = program.page(page).expect("pages on the stack exist");
+        let mut store = e.store.clone();
+        let host = Host {
+            queue: None,
+            widgets: Some(&mut e.widgets),
+            faults,
+            version,
+        };
+        match smallstep::run(
+            program,
+            &mut store,
+            Effect::Render,
+            host,
+            REFERENCE_FUEL,
+            &page_bindings(&def.params, arg),
+            &def.render,
+        ) {
+            Ok(out) => e.root = out.root,
+            Err(error) => {
+                e.widgets = checkpoint;
+                e.error = Some(error);
+            }
+        }
+    }
+    expected
+}
+
+/// One `System::step`, checked against the reference transition.
+fn checked_step(
+    system: &mut System,
+    faults: Option<&mut (dyn FaultInjector + 'static)>,
+    at: usize,
+) -> Result<Result<StepKind, Fault>, String> {
+    let expected = reference_step(system, faults);
+    let got = system.step();
+    match (&got, &expected.error) {
+        (Ok(kind), None) => prop_assert_eq!(*kind, expected.kind, "transition at step {}", at),
+        (Err(fault), Some(error)) => {
+            prop_assert_eq!(dbg(&fault.error), dbg(error), "fault at step {}", at)
+        }
+        _ => {
+            return Err(format!(
+                "outcome at step {at}: vm {got:?}, reference error {:?}",
+                expected.error
+            ))
+        }
+    }
+    prop_assert_eq!(
+        dbg(system.store()),
+        dbg(&expected.store),
+        "stores at step {}",
+        at
+    );
+    prop_assert_eq!(
+        dbg(system.queue()),
+        dbg(&expected.queue),
+        "queues at step {}",
+        at
+    );
+    prop_assert_eq!(
+        dbg(system.page_stack()),
+        dbg(&expected.page_stack),
+        "page stacks at step {}",
+        at
+    );
+    prop_assert_eq!(
+        dbg(system.widgets()),
+        dbg(&expected.widgets),
+        "view state at step {}",
+        at
+    );
+    if let Some(root) = &expected.root {
+        let frame = system.display().content().map(BoxNode::without_provenance);
+        prop_assert_eq!(dbg(frame), dbg(Some(root)), "frame bytes at step {}", at);
+    }
+    Ok(got)
+}
+
+/// `System::run_to_stable`, every transition checked; the lockstep
+/// fault plan (if any) replays the system's injection schedule into the
+/// reference.
+fn checked_run_to_stable(
+    system: &mut System,
+    plan: Option<&std::sync::Mutex<FaultPlan>>,
+    at: usize,
+) -> Result<(), String> {
+    for _ in 0..system.config().max_transitions {
+        let mut guard = plan.map(lock_plan);
+        let faults = guard
+            .as_deref_mut()
+            .map(|p| p as &mut (dyn FaultInjector + 'static));
+        match checked_step(system, faults, at)? {
+            Ok(StepKind::Stable) | Err(_) => return Ok(()),
+            Ok(_) => {}
+        }
+    }
+    system.contain_overflow();
+    Ok(())
+}
+
+/// Drive the system through one action plus its cascade, checking every
+/// transition. `width` is the tap fan (how many top-level boxes the
+/// random taps may address — misses included on purpose).
+fn walk_step(
+    rng: &mut Rng,
+    system: &mut System,
+    plan: Option<&std::sync::Mutex<FaultPlan>>,
+    step: usize,
+    width: usize,
+) -> Result<(), String> {
+    match rng.below(6) {
+        0..=3 => {
+            let _ = system.tap(&[rng.below(width)]);
+        }
+        4 => system.back(),
+        _ => {} // plain re-render below
+    }
+    // A fault stops a cascade; the second pass settles what is left.
+    checked_run_to_stable(system, plan, step)?;
+    checked_run_to_stable(system, plan, step)
+}
+
+fn lock_plan(plan: &std::sync::Mutex<FaultPlan>) -> std::sync::MutexGuard<'_, FaultPlan> {
+    plan.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+// ---------------------------------------------------------------------
+// 1. Body-level agreement
 // ---------------------------------------------------------------------
 
 #[test]
-fn vm_bigstep_smallstep_agree_on_generated_bodies() {
+fn vm_and_smallstep_agree_on_generated_bodies() {
     prop::check(
-        "vm_bigstep_smallstep_agree_on_generated_bodies",
+        "vm_and_smallstep_agree_on_generated_bodies",
         prop::Config::with_cases(96),
-        |rng| NoShrink(arb_plain_program(rng)),
+        |rng| NoShrink(arb_walk_program(rng)),
         |src: &NoShrink<String>| {
             let program = compile(&src.0).expect("generated programs are well-typed");
             let page = program.page("start").expect("page").clone();
@@ -227,24 +463,25 @@ fn vm_bigstep_smallstep_agree_on_generated_bodies() {
                 .expect("generated programs compile to bytecode");
             let mut scratch = vm::Scratch::new();
 
-            // init under all three machines.
+            // init under both machines.
             let mut ss_store = Store::new();
             let mut ss_queue = EventQueue::new();
-            let ss =
-                smallstep::eval_state(&program, &mut ss_store, &mut ss_queue, FUEL, &page.init)
-                    .expect("small-step init");
-            let mut bs_store = Store::new();
-            let mut bs_queue = EventQueue::new();
-            let (bs, bs_cost) = bigstep::run_state(
+            let mut ss_widgets = WidgetStore::new();
+            let host = Host {
+                queue: Some(&mut ss_queue),
+                widgets: Some(&mut ss_widgets),
+                ..Host::default()
+            };
+            let ss = smallstep::run(
                 &program,
-                &mut bs_store,
-                &mut bs_queue,
-                0,
-                FUEL,
-                vec![],
+                &mut ss_store,
+                Effect::State,
+                host,
+                REFERENCE_FUEL,
+                &[],
                 &page.init,
             )
-            .expect("big-step init");
+            .expect("small-step init");
             let mut vm_store = Store::new();
             let mut vm_queue = EventQueue::new();
             let mut vm_widgets = WidgetStore::new();
@@ -259,26 +496,32 @@ fn vm_bigstep_smallstep_agree_on_generated_bodies() {
                 &[],
                 Some(&mut vm_widgets),
                 None,
-            )
-            .expect("start page is compiled");
+            );
             let vm_value = run.result.expect("vm init");
 
-            prop_assert_eq!(&ss.value, &bs, "smallstep/bigstep init values");
-            prop_assert_eq!(&vm_value, &bs, "vm/bigstep init values");
-            prop_assert_eq!(&ss_store, &bs_store, "smallstep/bigstep stores");
-            prop_assert_eq!(&vm_store, &bs_store, "vm/bigstep stores");
-            prop_assert_eq!(&ss_queue, &bs_queue, "smallstep/bigstep queues");
-            prop_assert_eq!(&vm_queue, &bs_queue, "vm/bigstep queues");
+            prop_assert_eq!(dbg(&vm_value), dbg(&ss.value), "init values");
+            prop_assert_eq!(dbg(&vm_store), dbg(&ss_store), "stores");
+            prop_assert_eq!(&vm_queue, &ss_queue, "queues");
             // Prim accounting must agree exactly — fault injection
             // counts prim calls, so this is the fault-parity invariant.
-            prop_assert_eq!(run.cost.prim, bs_cost.prim, "vm/bigstep prim accounting");
+            prop_assert_eq!(run.cost.prim, ss.prim, "prim accounting");
             prop_assert!(run.stats.instructions > 0, "vm actually executed");
 
-            // render under all three, from the agreed store.
-            let ss_render = smallstep::eval_render(&program, &mut ss_store, FUEL, &page.render)
-                .expect("small-step render");
-            let bs_render = bigstep::run_render(&program, &bs_store, 0, FUEL, vec![], &page.render)
-                .expect("big-step render");
+            // render under both, from the agreed store.
+            let host = Host {
+                widgets: Some(&mut ss_widgets),
+                ..Host::default()
+            };
+            let ss_render = smallstep::run(
+                &program,
+                &mut ss_store,
+                Effect::Render,
+                host,
+                REFERENCE_FUEL,
+                &[],
+                &page.render,
+            )
+            .expect("small-step render");
             let render_run = vm::transition_page_render(
                 &vmp,
                 &mut scratch,
@@ -290,28 +533,21 @@ fn vm_bigstep_smallstep_agree_on_generated_bodies() {
                 None,
                 Some(&mut vm_widgets),
                 None,
-            )
-            .expect("start page is compiled");
+            );
             let vm_root = render_run.result.expect("vm render");
-
             let ss_root = ss_render.root.expect("box content");
-            prop_assert_eq!(&ss_root, &bs_render.root, "smallstep/bigstep box trees");
-            prop_assert_eq!(&vm_root, &bs_render.root, "vm/bigstep box trees");
-            // Byte-identity, not just structural equality.
+            // Byte identity — handler closures and their captured
+            // environments included.
             prop_assert_eq!(
-                format!("{vm_root:?}"),
-                format!("{:?}", bs_render.root),
-                "vm/bigstep frame bytes"
+                dbg(vm_root.without_provenance()),
+                dbg(&ss_root),
+                "frame bytes"
             );
+            prop_assert_eq!(dbg(&vm_widgets), dbg(&ss_widgets), "view state");
             prop_assert_eq!(
-                render_run.cost.boxes_created,
-                bs_render.cost.boxes_created,
-                "vm/bigstep boxes created"
-            );
-            prop_assert_eq!(
-                render_run.cost.posts,
-                bs_render.cost.posts,
-                "vm/bigstep posts"
+                render_run.cost.prim,
+                ss_render.prim,
+                "render prim accounting"
             );
             Ok(())
         },
@@ -322,125 +558,10 @@ fn vm_bigstep_smallstep_agree_on_generated_bodies() {
 // 2. System-level 256-step walk
 // ---------------------------------------------------------------------
 
-/// Byte-level comparison key: generated programs are free to overflow
-/// to `inf`/`NaN` over a long walk, and `f64`'s `PartialEq` would call
-/// two byte-identical NaN frames unequal — so all walk comparisons go
-/// through the `Debug` rendering, which is the byte-identity the VM
-/// contract promises anyway.
-fn dbg<T: std::fmt::Debug>(t: T) -> String {
-    format!("{t:?}")
-}
-
-/// A fault's identity minus its step accounting: `fuel_spent` is
-/// `cost.steps`, which the parity contract deliberately excludes (the
-/// VM ticks per instruction, the walker per AST node). Everything else
-/// — kind, page, error, version — must agree exactly.
-fn dbg_fault(f: &alive_core::fault::Fault) -> String {
-    format!(
-        "Fault {{ kind: {:?}, page: {:?}, error: {:?}, version: {:?} }}",
-        f.kind, f.page, f.error, f.version
-    )
-}
-
-/// Comparison key for a fallible outcome, fault steps normalized out.
-fn dbg_outcome<T: std::fmt::Debug>(r: &Result<T, alive_core::fault::Fault>) -> String {
-    match r {
-        Ok(v) => format!("Ok({v:?})"),
-        Err(f) => format!("Err({})", dbg_fault(f)),
-    }
-}
-
-/// Assert every observable piece of state agrees between the VM-engine
-/// and bigstep-engine systems.
-fn assert_systems_agree(vm_sys: &System, bs_sys: &System, step: usize) -> Result<(), String> {
-    prop_assert_eq!(
-        dbg(vm_sys.store()),
-        dbg(bs_sys.store()),
-        "stores at step {}",
-        step
-    );
-    prop_assert_eq!(
-        dbg(vm_sys.queue()),
-        dbg(bs_sys.queue()),
-        "queues at step {}",
-        step
-    );
-    prop_assert_eq!(
-        dbg(vm_sys.page_stack()),
-        dbg(bs_sys.page_stack()),
-        "page stacks at step {}",
-        step
-    );
-    prop_assert_eq!(
-        dbg(vm_sys.widgets()),
-        dbg(bs_sys.widgets()),
-        "view state at step {}",
-        step
-    );
-    Ok(())
-}
-
-/// Drive both systems through one action + cascade + render, asserting
-/// agreement at every point. `step` labels failures; `width` is the tap
-/// fan (how many top-level boxes the random taps may address — misses
-/// included on purpose, both engines must agree on the error too).
-fn walk_step_wide(
-    rng: &mut Rng,
-    vm_sys: &mut System,
-    bs_sys: &mut System,
-    step: usize,
-    width: usize,
-) -> Result<(), String> {
-    match rng.below(6) {
-        // Tap a random (possibly nonexistent) box: both engines must
-        // agree on the error too.
-        0..=3 => {
-            let path = [rng.below(width)];
-            let a = vm_sys.tap(&path);
-            let b = bs_sys.tap(&path);
-            prop_assert_eq!(a, b, "tap outcome at step {}", step);
-        }
-        4 => {
-            vm_sys.back();
-            bs_sys.back();
-        }
-        _ => {} // plain re-render below
-    }
-    let a = vm_sys.run_to_stable();
-    let b = bs_sys.run_to_stable();
-    prop_assert_eq!(
-        dbg_outcome(&a),
-        dbg_outcome(&b),
-        "cascade outcome at step {}",
-        step
-    );
-    assert_systems_agree(vm_sys, bs_sys, step)?;
-
-    let vm_frame = vm_sys.rendered().cloned();
-    let bs_frame = bs_sys.rendered().cloned();
-    prop_assert_eq!(
-        dbg_outcome(&vm_frame),
-        dbg_outcome(&bs_frame),
-        "frame bytes at step {}",
-        step
-    );
-    assert_systems_agree(vm_sys, bs_sys, step)
-}
-
-/// The generated-program walk: a six-box tap fan.
-fn walk_step(
-    rng: &mut Rng,
-    vm_sys: &mut System,
-    bs_sys: &mut System,
-    step: usize,
-) -> Result<(), String> {
-    walk_step_wide(rng, vm_sys, bs_sys, step, 6)
-}
-
 #[test]
-fn vm_system_walk_matches_bigstep_system() {
+fn vm_system_walk_matches_the_smallstep_reference() {
     prop::check(
-        "vm_system_walk_matches_bigstep_system",
+        "vm_system_walk_matches_the_smallstep_reference",
         prop::Config::with_cases(24),
         |rng| NoShrink((arb_walk_program(rng), rng.fork())),
         |case: &NoShrink<(String, Rng)>| {
@@ -450,44 +571,32 @@ fn vm_system_walk_matches_bigstep_system() {
             let config = SystemConfig {
                 fuel: 200_000,
                 max_transitions: 500,
-                ..SystemConfig::default()
             };
-            let mut vm_sys = System::with_config(program.clone(), config);
-            let mut bs_sys = System::with_config(
-                program,
-                SystemConfig {
-                    engine: EvalEngine::Bigstep,
-                    ..config
-                },
-            );
+            let mut system = System::with_config(program, config);
             for step in 0..256 {
-                walk_step(&mut rng, &mut vm_sys, &mut bs_sys, step)?;
+                walk_step(&mut rng, &mut system, None, step, 7)?;
             }
-            let stats = vm_sys.vm_stats();
+            let stats = system.vm_stats();
             prop_assert!(stats.runs > 0, "the VM actually ran: {:?}", stats);
-            prop_assert_eq!(stats.fallbacks, 0, "no silent fallbacks: {:?}", stats);
-            let bs_stats = bs_sys.vm_stats();
-            prop_assert_eq!(bs_stats.runs, 0, "bigstep engine never ran the VM");
             Ok(())
         },
     );
 }
 
 // ---------------------------------------------------------------------
-// 3. Fault injection: identical faults, byte-identical rollbacks
+// 3. Fault injection: identical faults, identical rollbacks
 // ---------------------------------------------------------------------
 
 #[test]
-fn injected_faults_roll_back_identically_on_both_engines() {
+fn injected_faults_roll_back_identically_under_vm_and_reference() {
     prop::check(
-        "injected_faults_roll_back_identically_on_both_engines",
+        "injected_faults_roll_back_identically_under_vm_and_reference",
         prop::Config::with_cases(24),
         |rng| {
             // The fault schedule is part of the case, so a replayed seed
             // reproduces the injections exactly. Prim-call schedules
-            // only: fuel throttling is engine-visible (the VM ticks per
-            // instruction, the walker per AST node), so it is exactly
-            // the kind of fault the engines may *not* agree on.
+            // only: fuel throttling is machine-visible (the VM ticks per
+            // instruction, the reference per rule).
             let fail_at: Vec<u64> = (0..3).map(|_| rng.below(40) as u64 + 1).collect();
             NoShrink((arb_walk_program(rng), rng.fork(), fail_at))
         },
@@ -498,18 +607,10 @@ fn injected_faults_roll_back_identically_on_both_engines() {
             let config = SystemConfig {
                 fuel: 200_000,
                 max_transitions: 500,
-                ..SystemConfig::default()
             };
-            let mut vm_sys = System::with_config(program.clone(), config);
-            let mut bs_sys = System::with_config(
-                program,
-                SystemConfig {
-                    engine: EvalEngine::Bigstep,
-                    ..config
-                },
-            );
-            // One plan per system (each advances its own call counter),
-            // built from the same schedule.
+            let mut system = System::with_config(program, config);
+            // One plan for the system, one replayed into the reference
+            // in lockstep, built from the same schedule.
             let make_plan = || {
                 let mut plan = FaultPlan::new();
                 for &n in fail_at {
@@ -518,57 +619,40 @@ fn injected_faults_roll_back_identically_on_both_engines() {
                 plan.shared()
             };
             let vm_plan = make_plan();
-            let bs_plan = make_plan();
-            vm_sys.set_fault_injector(vm_plan.clone());
-            bs_sys.set_fault_injector(bs_plan.clone());
+            let reference_plan = make_plan();
+            system.set_fault_injector(vm_plan.clone());
 
             for step in 0..64 {
-                walk_step(&mut rng, &mut vm_sys, &mut bs_sys, step)?;
+                walk_step(&mut rng, &mut system, Some(&reference_plan), step, 7)?;
             }
 
-            // Both engines saw the identical prim-call sequence, so the
-            // schedules fired identically.
-            let (vp, bp) = (
+            let (vp, rp) = (
                 lock_plan(&vm_plan).injected(),
-                lock_plan(&bs_plan).injected(),
+                lock_plan(&reference_plan).injected(),
             );
-            prop_assert_eq!(vp, bp, "identical injection counts");
-            let (vc, bc) = (
+            prop_assert_eq!(vp, rp, "identical injection counts");
+            let (vc, rc) = (
                 lock_plan(&vm_plan).prim_calls(),
-                lock_plan(&bs_plan).prim_calls(),
+                lock_plan(&reference_plan).prim_calls(),
             );
-            prop_assert_eq!(vc, bc, "identical prim-call counts");
-            prop_assert_eq!(vm_sys.vm_stats().fallbacks, 0, "no silent fallbacks");
-
-            // Checkpoint byte-identity: the persisted snapshots of both
-            // systems serialize to the same bytes after all rollbacks.
-            let vm_snap = vm_sys.snapshot().expect("snapshots");
-            let bs_snap = bs_sys.snapshot().expect("snapshots");
-            prop_assert_eq!(vm_snap, bs_snap, "post-rollback snapshot bytes");
+            prop_assert_eq!(vc, rc, "identical prim-call counts");
             Ok(())
         },
     );
-}
-
-fn lock_plan(
-    plan: &std::sync::Arc<std::sync::Mutex<FaultPlan>>,
-) -> std::sync::MutexGuard<'_, FaultPlan> {
-    plan.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 // ---------------------------------------------------------------------
 // 4. Corpus: every scenario program, walked differentially
 // ---------------------------------------------------------------------
 
-/// Every program of the scenario corpus — 5 kinds × 4 sizes — drives a
-/// VM-engine and a bigstep-engine system through the same seeded walk;
-/// stores, queues, stacks, view state, and frames must stay
-/// byte-identical, and the example probes must agree value-for-value on
-/// the walked store. Seed-replayable per program: a failure prints the
-/// seed and `ALIVE_TESTKIT_SEED=<seed>` reruns the identical walk.
+/// Every program of the scenario corpus — 5 kinds × 4 sizes — runs on
+/// the smallstep reference (first frame included) and drives a VM
+/// system through a seeded walk with every transition checked; the
+/// example probes must agree value for value on the walked store.
+/// Seed-replayable per program: a failure prints the seed and
+/// `ALIVE_TESTKIT_SEED=<seed>` reruns the identical walk.
 #[test]
-fn vm_system_walk_matches_bigstep_on_every_corpus_program() {
+fn vm_system_walk_matches_smallstep_on_every_corpus_program() {
     for entry in alive_corpus::corpus() {
         let name = entry.spec.name();
         // Tap fan sized to the program: header + rows + trailing
@@ -585,24 +669,15 @@ fn vm_system_walk_matches_bigstep_on_every_corpus_program() {
                 let config = SystemConfig {
                     fuel: 2_000_000,
                     max_transitions: 500,
-                    ..SystemConfig::default()
                 };
-                let mut vm_sys = System::with_config(program.clone(), config);
-                let mut bs_sys = System::with_config(
-                    program.clone(),
-                    SystemConfig {
-                        engine: EvalEngine::Bigstep,
-                        ..config
-                    },
-                );
+                let mut system = System::with_config(program.clone(), config);
                 for step in 0..48 {
-                    walk_step_wide(&mut rng, &mut vm_sys, &mut bs_sys, step, width)?;
+                    walk_step(&mut rng, &mut system, None, step, width)?;
                 }
-                prop_assert!(vm_sys.vm_stats().runs > 0, "the VM actually ran");
-                prop_assert_eq!(vm_sys.vm_stats().fallbacks, 0, "no silent fallbacks");
+                prop_assert!(system.vm_stats().runs > 0, "the VM actually ran");
 
-                // Example probes: byte-identical VM vs bigstep values
-                // against the walked (not initial) store.
+                // Example probes: VM vs reference values against the
+                // walked (not initial) store.
                 let vmp = program.vm().expect("corpus programs compile to bytecode");
                 let mut scratch = vm::Scratch::new();
                 for (index, def) in program.examples().iter().enumerate() {
@@ -611,24 +686,20 @@ fn vm_system_walk_matches_bigstep_on_every_corpus_program() {
                         let vm_run = vm::run_example(
                             &vmp,
                             &mut scratch,
-                            vm_sys.store(),
-                            vm_sys.version(),
+                            system.store(),
+                            system.version(),
                             FUEL,
                             index,
                             expect,
                         )
                         .expect("example slot exists");
-                        let bs = bigstep::run_pure(
-                            &program,
-                            bs_sys.store(),
-                            bs_sys.version(),
-                            FUEL,
-                            expr,
-                        )
-                        .map(|(v, _)| v);
+                        let mut store = system.store().clone();
+                        let reference =
+                            smallstep::eval_pure(&program, &mut store, REFERENCE_FUEL, expr)
+                                .map(|out| out.value);
                         prop_assert_eq!(
                             dbg(&vm_run.result),
-                            dbg(&bs),
+                            dbg(&reference),
                             "probe `{}` (expect={}) diverged",
                             def.name,
                             expect

@@ -10,15 +10,13 @@
 //!
 //! Probes evaluate against the *running model* (the store), so an
 //! example over a global shows the live value, not the initial one.
-//! Evaluation goes through the session's configured engine — the
-//! bytecode VM when the program compiled into the VM subset, the
-//! bigstep tree walker otherwise — and the two must agree byte-for-byte
-//! (held by `tests/` alongside the vm differential suite).
+//! Evaluation runs each example's compiled chunk on the bytecode VM
+//! (`vm::run_example`); the VM differential suite checks those values
+//! against the small-step reference machine.
 
-use alive_core::bigstep;
 use alive_core::error::RuntimeError;
 use alive_core::store::Store;
-use alive_core::system::{EvalEngine, System};
+use alive_core::system::System;
 use alive_core::value::Value;
 use alive_core::vm::{self, Scratch};
 use alive_core::Program;
@@ -54,7 +52,7 @@ pub struct ExampleProbe {
 }
 
 impl ExampleProbe {
-    /// One-line rendering, stable across engines — the wire and panel
+    /// One-line rendering — the wire and panel
     /// format: `name = value`, `name = value ok`, `name = value,
     /// expected <e>`, or `name faulted: <err>`.
     pub fn render_line(&self) -> String {
@@ -112,7 +110,6 @@ impl ExampleCache {
             system.store(),
             system.version(),
             system.config().fuel,
-            system.config().engine,
             &mut self.scratch,
         );
         self.key = Some(key);
@@ -126,33 +123,23 @@ impl ExampleCache {
     }
 }
 
-/// Evaluate one pure example expression through the chosen engine.
-/// `expect` selects the example's `expect` clause instead of its body.
-#[allow(clippy::too_many_arguments)]
+/// Evaluate one pure example expression on the VM. `expect` selects
+/// the example's `expect` clause instead of its body.
 fn eval_probe_expr(
     program: &Program,
     store: &Store,
     version: u64,
     fuel: u64,
-    engine: EvalEngine,
     scratch: &mut Scratch,
     index: usize,
     expect: bool,
 ) -> Result<Value, RuntimeError> {
-    if engine == EvalEngine::Vm {
-        if let Some(vmp) = program.vm() {
-            if let Some(run) = vm::run_example(&vmp, scratch, store, version, fuel, index, expect) {
-                return run.result;
-            }
-        }
-    }
-    let def = &program.examples()[index];
-    let expr = if expect {
-        def.expect.as_ref().unwrap_or(&def.body)
-    } else {
-        &def.body
-    };
-    bigstep::run_pure(program, store, version, fuel, expr).map(|(v, _)| v)
+    let vmp = program.vm().ok_or(RuntimeError::Internal(
+        "program does not compile to bytecode",
+    ))?;
+    vm::run_example(&vmp, scratch, store, version, fuel, index, expect)
+        .map(|run| run.result)
+        .unwrap_or(Err(RuntimeError::Internal("no such example clause")))
 }
 
 /// Evaluate every example in `program` against `store`.
@@ -161,13 +148,12 @@ pub(crate) fn evaluate_examples(
     store: &Store,
     version: u64,
     fuel: u64,
-    engine: EvalEngine,
     scratch: &mut Scratch,
 ) -> Vec<ExampleProbe> {
     let mut out = Vec::with_capacity(program.examples().len());
     for (index, def) in program.examples().iter().enumerate() {
         let name = def.name.to_string();
-        let body = eval_probe_expr(program, store, version, fuel, engine, scratch, index, false);
+        let body = eval_probe_expr(program, store, version, fuel, scratch, index, false);
         let probe = match body {
             Err(e) => ExampleProbe {
                 name,
@@ -183,9 +169,8 @@ pub(crate) fn evaluate_examples(
                         status: ProbeStatus::Value,
                     },
                     Some(_) => {
-                        let expect_val = eval_probe_expr(
-                            program, store, version, fuel, engine, scratch, index, true,
-                        );
+                        let expect_val =
+                            eval_probe_expr(program, store, version, fuel, scratch, index, true);
                         match expect_val {
                             Err(e) => ExampleProbe {
                                 name,

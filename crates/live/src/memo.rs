@@ -16,12 +16,12 @@
 //! *outside* the `boxed` body — is detected statically and such
 //! statements are never cached.
 
-use alive_core::bigstep::RenderHook;
 use alive_core::boxtree::BoxNode;
 use alive_core::expr::{BoxSourceId, Expr, ExprKind};
 use alive_core::store::Store;
 use alive_core::types::Name;
 use alive_core::value::Value;
+use alive_core::vm::RenderHook;
 use alive_core::Program;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -166,6 +166,8 @@ fn direct_children(expr: &Expr) -> Vec<&Expr> {
         | ExprKind::FunRef(_)
         | ExprKind::PrimRef(_)
         | ExprKind::PopPage
+        | ExprKind::Val(_)
+        | ExprKind::Capture(..)
         | ExprKind::Lambda(_) => {}
         ExprKind::Tuple(es) | ExprKind::ListLit(es) => out.extend(es.iter()),
         ExprKind::Proj(e, _)
@@ -309,7 +311,9 @@ fn assigns_outer_local(body: &Expr) -> bool {
             | ExprKind::Global(_)
             | ExprKind::FunRef(_)
             | ExprKind::PrimRef(_)
+            | ExprKind::Val(_)
             | ExprKind::PopPage => {}
+            ExprKind::Capture(lam, _) => out.push(&lam.body),
             ExprKind::Tuple(es) | ExprKind::ListLit(es) => out.extend(es.iter()),
             ExprKind::Proj(e, _)
             | ExprKind::Unary(_, e)
@@ -696,7 +700,7 @@ mod tests {
 
     #[test]
     fn cache_reuses_across_renders() {
-        use alive_core::bigstep;
+        use alive_core::vm;
         let p = compile(
             "global items : list number = [1, 2, 3]
              global sel : number = 0
@@ -710,7 +714,8 @@ mod tests {
              }",
         )
         .expect("compiles");
-        let page = p.page("start").expect("page");
+        let vmp = p.vm().expect("compiles to bytecode");
+        let mut scratch = vm::Scratch::new();
         let mut store = Store::new();
         store.set(
             "items",
@@ -721,30 +726,42 @@ mod tests {
             ]),
         );
         store.set("sel", Value::Number(0.0));
+        let mut render = |store: &Store, hook: Option<&mut MemoCache>| {
+            let hook = hook.map(|h| h as &mut dyn RenderHook);
+            vm::transition_page_render(
+                &vmp,
+                &mut scratch,
+                store,
+                0,
+                1_000_000,
+                "start",
+                &[],
+                hook,
+                None,
+                None,
+            )
+        };
 
         let mut cache = MemoCache::new(&p);
         cache.begin_render(&store, 0);
-        let first =
-            bigstep::run_render_hooked(&p, &store, 0, 1_000_000, vec![], &page.render, &mut cache)
-                .expect("renders");
+        let first = render(&store, Some(&mut cache));
+        let first_root = first.result.expect("renders");
         assert_eq!(cache.stats().hits, 0);
         assert_eq!(cache.stats().misses, 4);
 
         // Change only `sel`: the three item boxes reuse, the sel box re-renders.
         store.set("sel", Value::Number(9.0));
         cache.begin_render(&store, 0);
-        let second =
-            bigstep::run_render_hooked(&p, &store, 0, 1_000_000, vec![], &page.render, &mut cache)
-                .expect("renders");
+        let second = render(&store, Some(&mut cache));
         assert_eq!(cache.stats().hits, 3);
         assert_eq!(cache.stats().misses, 5);
         assert_eq!(second.cost.boxes_created, 1);
         assert_eq!(second.cost.boxes_reused, 3);
+        let second_root = second.result.expect("renders");
 
         // The reused tree is identical to an uncached render.
-        let plain =
-            bigstep::run_render(&p, &store, 0, 1_000_000, vec![], &page.render).expect("renders");
-        assert_eq!(second.root, plain.root);
-        assert_ne!(first.root, second.root);
+        let plain = render(&store, None).result.expect("renders");
+        assert_eq!(second_root, plain);
+        assert_ne!(first_root, second_root);
     }
 }

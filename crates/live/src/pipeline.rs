@@ -55,9 +55,9 @@ pub struct FrameStats {
     pub cells_total: u64,
     /// Whether the last frame was a partial (damage-driven) repaint.
     pub partial: bool,
-    /// Microseconds spent settling the system (evaluation) before the
-    /// last frame. Zero here; [`crate::LiveSession`] stamps it, like
-    /// the `eval_*` counters.
+    /// Microseconds the RENDER transition that produced the last frame
+    /// spent evaluating. Zero here; [`crate::LiveSession`] stamps it,
+    /// like the `eval_*` counters.
     pub eval_us: u64,
     /// The slice of [`FrameStats::eval_us`] spent compiling bytecode
     /// (zero once the VM cache is warm). Stamped by

@@ -207,14 +207,18 @@ pub struct LiveSession {
     /// The clock frame timings are taken against — the registry's clock
     /// when metrics are attached, the real monotonic clock otherwise.
     clock: Arc<dyn Clock>,
-    /// µs the system spent settling (evaluation) before the last
-    /// rendered frame; stamped into [`FrameStats::eval_us`].
+    /// µs the RENDER transition behind the last rendered frame took;
+    /// stamped into [`FrameStats::eval_us`].
     last_eval_us: u64,
     /// The slice of [`LiveSession::last_eval_us`] the system spent
     /// compiling bytecode (the [`alive_core::system::VmStats::compile_us`]
-    /// delta across the settle); stamped into
+    /// delta across that RENDER); stamped into
     /// [`FrameStats::eval_compile_us`].
     last_compile_us: u64,
+    /// `(µs, compile µs)` of the latest successful RENDER, timed inside
+    /// [`LiveSession::refresh`]; moves to `last_eval_us` /
+    /// `last_compile_us` when that RENDER's tree is drawn.
+    render_timing: (u64, u64),
     /// Pre-transaction checkpoint while a fleet UPDATE awaits its
     /// promote/revert decision. At most one — a session runs at most one
     /// fleet transaction at a time.
@@ -327,6 +331,7 @@ impl LiveSession {
             clock,
             last_eval_us: 0,
             last_compile_us: 0,
+            render_timing: (0, 0),
             fleet_checkpoint: None,
             pending_txs: BTreeMap::new(),
             next_tx: 1,
@@ -420,7 +425,7 @@ impl LiveSession {
 
     /// Evaluate the program's Babylonian live examples against the
     /// running model — every `example` item's body (and `expect`
-    /// clause, when present), through the session's configured engine.
+    /// clause, when present), on the bytecode VM.
     /// Results are cached per `(program version, display generation)`:
     /// every state change is followed by a render that bumps the
     /// generation and every edit bumps the version, so the continuous
@@ -452,50 +457,29 @@ impl LiveSession {
     /// (recorded in the [`FaultLog`]), the display degrades to the last
     /// good tree. This never fails — a session is always settleable.
     pub fn refresh(&mut self) {
-        if self.memo.is_none() {
-            // Each faulting event is consumed (its transition rolled
-            // back), so the loop strictly drains the queue.
-            loop {
-                match self.system.run_to_stable() {
-                    Ok(_) => return,
-                    Err(fault) => {
-                        self.faults.record(fault);
-                        // `⊥` after a fault means there is no good tree
-                        // to fall back to; retrying RENDER would fault
-                        // forever.
-                        if matches!(self.system.display(), Display::Invalid) {
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-        // Memo path: drive step-by-step so every RENDER goes through
-        // the cache, with the same cascade bound as `run_to_stable`.
+        // Drive the system step by step, with the cascade bound of
+        // `System::run_to_stable`, so every RENDER is timed for the
+        // frame it builds and goes through the §5 cache when the
+        // session has one.
         let budget = self.system.config().max_transitions;
         let mut steps = 0u64;
         let mut contained_overflow = false;
         loop {
-            let render_pending = matches!(self.system.display(), Display::Invalid)
-                && self.system.queue().is_empty()
-                && !self.system.page_stack().is_empty();
-            if render_pending {
-                if let Some(memo) = self.memo.as_mut() {
-                    memo.begin_render(self.system.store(), self.system.version());
-                    match self.system.render_with_hook(memo) {
-                        Ok(true) => continue,
-                        Ok(false) => {}
-                        Err(fault) => {
-                            self.faults.record(fault);
-                            if matches!(self.system.display(), Display::Invalid) {
-                                return;
-                            }
-                            continue;
-                        }
+            let outcome = if self.render_pending() {
+                let mut memo = self.memo.take();
+                let outcome = self.timed_render(|system| match memo.as_mut() {
+                    Some(memo) => {
+                        memo.begin_render(system.store(), system.version());
+                        system.render_with_hook(memo).map(|_| StepKind::Render)
                     }
-                }
-            }
-            match self.system.step() {
+                    None => system.step(),
+                });
+                self.memo = memo;
+                outcome
+            } else {
+                self.system.step()
+            };
+            match outcome {
                 Ok(StepKind::Stable) => return,
                 Ok(_) => {
                     steps += 1;
@@ -503,9 +487,7 @@ impl LiveSession {
                         // Runaway event cascade: contain it exactly like
                         // `run_to_stable` (drop the queue, degrade the
                         // display, log the overflow), then keep draining
-                        // through this loop so any containment tail
-                        // render still goes through the cache hook
-                        // instead of falling off the fast path.
+                        // so any containment tail render still runs.
                         if contained_overflow {
                             // A second overflow means STARTUP restarted
                             // the cascade; give up settling this call.
@@ -516,6 +498,10 @@ impl LiveSession {
                         self.faults.record(self.system.contain_overflow());
                     }
                 }
+                // Each faulting event is consumed (its transition rolled
+                // back), so the loop strictly drains the queue. `⊥` after
+                // a fault means there is no good tree to fall back to;
+                // retrying RENDER would fault forever.
                 Err(fault) => {
                     self.faults.record(fault);
                     if matches!(self.system.display(), Display::Invalid) {
@@ -524,6 +510,34 @@ impl LiveSession {
                 }
             }
         }
+    }
+
+    /// Whether RENDER is the system's next transition.
+    fn render_pending(&self) -> bool {
+        matches!(self.system.display(), Display::Invalid)
+            && self.system.queue().is_empty()
+            && !self.system.page_stack().is_empty()
+    }
+
+    /// Run a RENDER, timing it for the frame it produces: a successful
+    /// render leaves its time (and the bytecode-compile slice of it) in
+    /// `render_timing`.
+    fn timed_render<T>(
+        &mut self,
+        render: impl FnOnce(&mut System) -> Result<T, Fault>,
+    ) -> Result<T, Fault> {
+        let start = self.clock.now_us();
+        let compile_before = self.system.vm_stats().compile_us;
+        let result = render(&mut self.system);
+        if result.is_ok() && !matches!(self.system.display(), Display::Invalid) {
+            let compile_us = self
+                .system
+                .vm_stats()
+                .compile_us
+                .saturating_sub(compile_before);
+            self.render_timing = (self.clock.now_us().saturating_sub(start), compile_us);
+        }
+        result
     }
 
     /// Submit a full replacement source text — one keystroke's worth of
@@ -970,15 +984,7 @@ impl LiveSession {
     /// faulting program yields the last good view; a session with no
     /// good view at all yields a placeholder naming the fault.
     pub fn live_view(&mut self) -> String {
-        let eval_start = self.clock.now_us();
-        let compile_before = self.system.vm_stats().compile_us;
         self.refresh();
-        let eval_us = self.clock.now_us().saturating_sub(eval_start);
-        let compile_us = self
-            .system
-            .vm_stats()
-            .compile_us
-            .saturating_sub(compile_before);
         let generation = self.system.display_generation();
         match self.system.display().content() {
             // The pipeline reuses everything the display left unchanged:
@@ -989,10 +995,10 @@ impl LiveSession {
                 let text = self.pipeline.render(generation, root);
                 if self.pipeline.stats().frames > frames_before {
                     // A frame was actually rendered (not a view-memo
-                    // hit): stamp the settle time and feed the stage
-                    // timings into the histograms.
-                    self.last_eval_us = eval_us;
-                    self.last_compile_us = compile_us;
+                    // hit): stamp the time of the RENDER that built its
+                    // tree and feed the stage timings into the
+                    // histograms.
+                    (self.last_eval_us, self.last_compile_us) = self.render_timing;
                     if let Some(metrics) = &self.metrics {
                         metrics.record_frame(&self.frame_stats());
                     }
@@ -1113,6 +1119,46 @@ page start() {
     }
 }
 "#;
+
+    /// `eval_us` is the time of the RENDER that built the frame: under
+    /// an auto-stepping clock, exactly the ticks between the reads that
+    /// bracket that RENDER (the bytecode is warm, so none of it is
+    /// compile time), not the near-zero gap `live_view` used to see
+    /// after the tap had already rendered.
+    #[test]
+    fn frame_eval_time_is_the_render_that_built_the_frame() {
+        const TICK: u64 = 7;
+        let registry = Registry::with_clock(Arc::new(alive_obs::ManualClock::with_auto_step(TICK)));
+        for memo in [false, true] {
+            let program = Arc::new(compile(APP).expect("compiles"));
+            let mut session = LiveSession::with_shared_program_observed(
+                APP,
+                program,
+                SystemConfig::default(),
+                memo,
+                Some(&registry),
+            );
+            session.live_view();
+            session.tap_path(&[0]).expect("tap");
+            let view = session.live_view();
+            assert!(view.contains("count is 11"), "{view}");
+            let stats = session.frame_stats();
+            assert_eq!(stats.eval_us, TICK, "memo={memo}: {stats:?}");
+            assert_eq!(stats.eval_compile_us, 0);
+            assert_eq!(stats.eval_exec_us, stats.eval_us);
+
+            // After an edit the RENDER also compiles the new version's
+            // bytecode, which reads the clock twice more: one tick of
+            // compile inside three ticks of RENDER.
+            let edited = APP.replace("count is ", "count: ");
+            assert!(session.edit_source(&edited).is_applied());
+            session.live_view();
+            let stats = session.frame_stats();
+            assert_eq!(stats.eval_us, 3 * TICK, "memo={memo}: {stats:?}");
+            assert_eq!(stats.eval_compile_us, TICK);
+            assert_eq!(stats.eval_exec_us, 2 * TICK);
+        }
+    }
 
     #[test]
     fn session_starts_and_renders() {

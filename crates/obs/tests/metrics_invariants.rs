@@ -54,7 +54,6 @@ fn observed_session(registry: &Registry) -> LiveSession {
         SystemConfig {
             fuel: 50_000,
             max_transitions: 500,
-            ..SystemConfig::default()
         },
         false,
         registry,
@@ -164,7 +163,6 @@ fn fault_counters_reconcile_with_the_fault_log_by_kind() {
         SystemConfig {
             fuel: 50_000,
             max_transitions: 500,
-            ..SystemConfig::default()
         },
         false,
         &registry,
@@ -335,8 +333,7 @@ fn host_snapshot_is_the_sum_of_sessions_under_concurrent_load() {
 /// random walk, ticks strictly upward whenever a VM run is recorded,
 /// and at the end of the walk reconciles exactly with the system's own
 /// [`alive_core::system::VmStats`] — the counter and the struct are two
-/// views of the same execution history. The default engine never falls
-/// back on this suite's app, so `eval.vm.fallbacks` stays zero.
+/// views of the same execution history.
 #[test]
 fn vm_instruction_counter_is_monotone_and_reconciles() {
     use alive_core::metrics::names;
@@ -377,8 +374,6 @@ fn vm_instruction_counter_is_monotone_and_reconciles() {
             );
             prop_assert_eq!(snapshot.counter(names::VM_RUNS), stats.runs);
             prop_assert_eq!(snapshot.counter(names::VM_CACHE_HITS), stats.cache_hits);
-            prop_assert_eq!(snapshot.counter(names::VM_FALLBACKS), 0u64);
-            prop_assert_eq!(stats.fallbacks, 0u64);
             prop_assert!(stats.runs > 0, "the walk must actually run the VM");
             Ok(())
         },
@@ -405,7 +400,6 @@ fn host_rollbacks_total_equals_injected_bad_commits() {
         system: SystemConfig {
             fuel: 10_000,
             max_transitions: 500,
-            ..SystemConfig::default()
         },
         ..HostConfig::with_workers(2)
     });

@@ -685,6 +685,23 @@ impl fmt::Debug for SessionHost {
     }
 }
 
+/// Spawn worker `worker` with a stack of
+/// [`alive_core::vm::EVAL_STACK_BYTES`]: the VM's call-depth budget is
+/// derived from that size, so a program that nests calls up to the
+/// budget runs, and one that nests deeper faults, without overflowing
+/// the worker's stack. A failed spawn panics, as `std::thread::spawn`
+/// does: a worker on a smaller stack would void the budget, and a host
+/// without its workers cannot serve.
+#[allow(clippy::expect_used)]
+fn spawn_worker(inner: &Arc<HostInner>, worker: usize) -> JoinHandle<()> {
+    let inner = Arc::clone(inner);
+    std::thread::Builder::new()
+        .name(format!("alive-worker-{worker}"))
+        .stack_size(alive_core::vm::EVAL_STACK_BYTES)
+        .spawn(move || worker_loop(&inner, worker))
+        .expect("spawn host worker")
+}
+
 impl SessionHost {
     /// Start a host with the given configuration (spawns the workers).
     /// When `config.metrics` is on, metrics run against real monotonic
@@ -737,10 +754,7 @@ impl SessionHost {
             drain_park_hook: Mutex::new(None),
         });
         let handles = (0..workers)
-            .map(|worker| {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || worker_loop(&inner, worker))
-            })
+            .map(|worker| spawn_worker(&inner, worker))
             .collect();
         SessionHost {
             inner,

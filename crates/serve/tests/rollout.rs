@@ -22,7 +22,6 @@ use std::sync::Arc;
 const FUEL: SystemConfig = SystemConfig {
     fuel: 10_000,
     max_transitions: 10_000,
-    engine: alive_core::system::EvalEngine::Vm,
 };
 
 const APP: &str = r#"

@@ -61,7 +61,6 @@ fn injected_canary_faults_roll_back_to_solo_replay_byte_identity() {
             system: SystemConfig {
                 fuel: 10_000,
                 max_transitions: 10_000,
-                ..SystemConfig::default()
             },
             ..HostConfig::with_workers(4)
         },

@@ -49,6 +49,6 @@ pub use ast::Program;
 pub use diag::{Diagnostic, Diagnostics, Severity};
 pub use edit::{apply_edit_batches, apply_edits, EditError, TextEdit};
 pub use incremental::{chunk_items, IncrementalParser};
-pub use parser::{parse_expr, parse_program, ParseResult};
+pub use parser::{parse_expr, parse_program, ParseResult, MAX_NESTING};
 pub use pretty::{pretty_expr, pretty_program, pretty_stmt, pretty_type};
 pub use span::{LineCol, SourceMap, Span};

@@ -30,11 +30,7 @@ impl ParseResult {
 pub fn parse_program(src: &str) -> ParseResult {
     let mut diagnostics = Diagnostics::new();
     let tokens = lex(src, &mut diagnostics);
-    let mut parser = Parser {
-        tokens,
-        pos: 0,
-        diags: diagnostics,
-    };
+    let mut parser = Parser::new(tokens, diagnostics);
     let program = parser.program(src.len() as u32);
     ParseResult {
         program,
@@ -46,11 +42,7 @@ pub fn parse_program(src: &str) -> ParseResult {
 pub fn parse_expr(src: &str) -> Result<Expr, Diagnostics> {
     let mut diagnostics = Diagnostics::new();
     let tokens = lex(src, &mut diagnostics);
-    let mut parser = Parser {
-        tokens,
-        pos: 0,
-        diags: diagnostics,
-    };
+    let mut parser = Parser::new(tokens, diagnostics);
     let expr = parser.expr();
     parser.expect(TokenKind::Eof);
     if parser.diags.has_errors() {
@@ -60,13 +52,52 @@ pub fn parse_expr(src: &str) -> Result<Expr, Diagnostics> {
     }
 }
 
+/// The parser's nesting budget: expressions and blocks nested deeper
+/// than this are rejected with one diagnostic instead of parsed. Every
+/// later pass (lowering, type checking, bytecode compilation) recurses
+/// once per nesting level, and 128 levels keep a whole compile of the
+/// deepest accepted program well inside a 2 MiB thread stack even in
+/// unoptimized builds, so no source text can overflow the stack.
+pub const MAX_NESTING: usize = 128;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     diags: Diagnostics,
+    /// Current expression/block nesting (see [`MAX_NESTING`]).
+    depth: usize,
+    /// Set once the budget is exceeded: the rest of the input is
+    /// skipped and no further diagnostics are reported.
+    too_deep: bool,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>, diags: Diagnostics) -> Self {
+        Parser {
+            tokens,
+            pos: 0,
+            diags,
+            depth: 0,
+            too_deep: false,
+        }
+    }
+
+    /// Enter one nesting level; `false` once past the budget, after
+    /// reporting it and skipping to the end of the input.
+    fn nest(&mut self, levels: usize) -> bool {
+        if self.depth + levels <= MAX_NESTING {
+            return true;
+        }
+        if !self.too_deep {
+            self.error(format!(
+                "nesting deeper than {MAX_NESTING} levels; split the expression or block"
+            ));
+            self.too_deep = true;
+        }
+        self.pos = self.tokens.len().saturating_sub(1);
+        false
+    }
+
     fn peek(&self) -> &TokenKind {
         &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
     }
@@ -115,7 +146,9 @@ impl Parser {
     }
 
     fn error(&mut self, message: impl Into<String>) {
-        self.diags.push(Diagnostic::error(self.span(), message));
+        if !self.too_deep {
+            self.diags.push(Diagnostic::error(self.span(), message));
+        }
     }
 
     fn ident(&mut self) -> Ident {
@@ -386,6 +419,21 @@ impl Parser {
     // ---- statements and blocks ---------------------------------------
 
     fn block(&mut self) -> Block {
+        if !self.nest(1) {
+            let span = self.span();
+            return Block {
+                stmts: Vec::new(),
+                tail: None,
+                span,
+            };
+        }
+        self.depth += 1;
+        let block = self.block_body();
+        self.depth -= 1;
+        block
+    }
+
+    fn block_body(&mut self) -> Block {
         let start = self.expect(TokenKind::LBrace);
         let mut stmts = Vec::new();
         let mut tail: Option<Box<Expr>> = None;
@@ -592,6 +640,8 @@ impl Parser {
 
     fn binary_expr(&mut self, min_prec: u8) -> Expr {
         let mut lhs = self.unary_expr();
+        // A chain of operators nests left-deep: each one is a level.
+        let mut chain = 0;
         loop {
             let op = match self.peek() {
                 TokenKind::PipePipe => BinOp::Or,
@@ -614,6 +664,10 @@ impl Parser {
             if prec <= min_prec {
                 break;
             }
+            chain += 1;
+            if !self.nest(chain) {
+                break;
+            }
             self.bump();
             let rhs = self.binary_expr(prec);
             let span = lhs.span.merge(rhs.span);
@@ -630,6 +684,20 @@ impl Parser {
     }
 
     fn unary_expr(&mut self) -> Expr {
+        if !self.nest(1) {
+            let span = self.span();
+            return Expr {
+                kind: ExprKind::Number(0.0),
+                span,
+            };
+        }
+        self.depth += 1;
+        let expr = self.unary_expr_inner();
+        self.depth -= 1;
+        expr
+    }
+
+    fn unary_expr_inner(&mut self) -> Expr {
         let start = self.span();
         if self.eat(TokenKind::Minus) {
             let inner = self.unary_expr();

@@ -177,3 +177,71 @@ fn accepted_programs_pretty_roundtrip() {
         },
     );
 }
+
+/// Deeply nested input: one of the nesting forms (parentheses, unary
+/// operators, lists, calls, `if` blocks, lambdas, operator chains)
+/// repeated up to 6,000 times inside a page body, then closed.
+fn deep_nesting(rng: &mut Rng) -> (String, usize) {
+    const FORMS: &[(&str, &str)] = &[
+        ("(", ")"),
+        ("-", ""),
+        ("!", ""),
+        ("[", "]"),
+        ("f(", ")"),
+        ("if true { ", " } else { 0 }"),
+        ("fn(x: number) -> ", ""),
+        ("boxed { post ", "; }"),
+        ("1 + ", ""),
+    ];
+    let depth = match rng.below(3) {
+        0 => rng.below(alive_syntax::MAX_NESTING / 2),
+        1 => rng.below(1_000),
+        _ => rng.below(6_000),
+    };
+    let (open, close) = *rng.choose(FORMS);
+    let closed = rng.chance(4, 5);
+    let body = format!(
+        "{}1{}",
+        open.repeat(depth),
+        if closed {
+            close.repeat(depth)
+        } else {
+            String::new()
+        }
+    );
+    (
+        format!("page start() {{ render {{ post {body}; }} }}"),
+        depth,
+    )
+}
+
+#[test]
+fn parser_is_total_on_deep_nesting() {
+    // The measured crash: 3,000 nested parentheses overflowed the stack.
+    let (open, close) = ("(".repeat(3_000), ")".repeat(3_000));
+    let src = format!("page start() {{ render {{ post {open}1{close}; }} }}");
+    let result = parse_program(&src);
+    assert!(result.diagnostics.has_errors(), "too deep to accept");
+    assert_eq!(
+        result.diagnostics.into_vec().len(),
+        1,
+        "one nesting diagnostic, no cascade"
+    );
+    prop::check(
+        "parser_is_total_on_deep_nesting",
+        prop::Config::with_cases(64),
+        |rng| NoShrink(deep_nesting(rng)),
+        |case: &NoShrink<(String, usize)>| {
+            let (src, depth) = &case.0;
+            let result = parse_program(src);
+            let _ = pretty_program(&result.program);
+            if *depth > alive_syntax::MAX_NESTING {
+                prop_assert!(
+                    result.diagnostics.has_errors(),
+                    "{depth} levels must be rejected"
+                );
+            }
+            Ok(())
+        },
+    );
+}

@@ -1,56 +1,88 @@
 //! Babylonian example probes are a *measured* property of the session:
-//! this suite pins the probe lines byte-for-byte across the two
-//! evaluation engines and across the memo hit/recompute paths.
+//! this suite pins the probe lines byte-for-byte against the small-step
+//! reference semantics and across the memo hit/recompute paths.
 //!
 //! The probes feed the repl's `:examples` and the alive-watch side
 //! panel, so "byte-identical" here is exactly "the user sees the same
-//! continuous feedback no matter which engine or cache path served it".
+//! continuous feedback the reference semantics defines, no matter which
+//! cache path served it".
 
-use its_alive::core::system::{EvalEngine, SystemConfig};
-use its_alive::live::LiveSession;
-
-fn session_with(source: &str, engine: EvalEngine) -> LiveSession {
-    LiveSession::with_options(
-        source,
-        SystemConfig {
-            engine,
-            ..SystemConfig::default()
-        },
-        false,
-    )
-    .expect("session starts")
-}
+use its_alive::core::smallstep;
+use its_alive::core::Value;
+use its_alive::live::{ExampleProbe, LiveSession, ProbeStatus};
 
 fn probe_lines(session: &mut LiveSession) -> Vec<String> {
     session
         .examples()
         .iter()
-        .map(its_alive::live::ExampleProbe::render_line)
+        .map(ExampleProbe::render_line)
         .collect()
 }
 
-/// Every corpus program declares examples; the VM-backed and
-/// bigstep-backed sessions must render identical probe lines on the
-/// first frame and after every step of an identical interaction walk.
+/// The probe lines the small-step machine gives for the session's
+/// program against the session's current store.
+fn reference_lines(session: &LiveSession) -> Vec<String> {
+    let system = session.system();
+    let program = system.program();
+    let eval = |expr| {
+        let mut store = system.store().clone();
+        smallstep::eval_pure(program, &mut store, system.config().fuel, expr).map(|out| out.value)
+    };
+    let probe = |name: &str, value: String, status| ExampleProbe {
+        name: name.to_string(),
+        value,
+        status,
+    };
+    program
+        .examples()
+        .iter()
+        .map(|def| {
+            let line = match (eval(&def.body), &def.expect) {
+                (Err(e), _) => probe(&def.name, e.to_string(), ProbeStatus::Fault),
+                (Ok(v), None) => probe(&def.name, v.display_text(), ProbeStatus::Value),
+                (Ok(v), Some(expect)) => match eval(expect) {
+                    Err(e) => probe(&def.name, e.to_string(), ProbeStatus::Fault),
+                    Ok(expected) if expected == v => {
+                        probe(&def.name, v.display_text(), ProbeStatus::Pass)
+                    }
+                    Ok(expected) => probe(
+                        &def.name,
+                        v.display_text(),
+                        ProbeStatus::Fail {
+                            expected: Value::display_text(&expected),
+                        },
+                    ),
+                },
+            };
+            line.render_line()
+        })
+        .collect()
+}
+
+/// Every corpus program declares examples; the VM-served probe lines
+/// must equal the small-step reference on the first frame and after
+/// every step of an interaction walk.
 #[test]
-fn probes_are_byte_identical_across_vm_and_bigstep_sessions() {
+fn probes_match_the_small_step_reference_on_every_corpus_program() {
     for entry in alive_corpus::corpus() {
         let name = entry.spec.name();
-        let mut vm = session_with(&entry.source, EvalEngine::Vm);
-        let mut bs = session_with(&entry.source, EvalEngine::Bigstep);
-        let first = probe_lines(&mut vm);
+        let mut session = LiveSession::new(&entry.source).expect("session starts");
+        let first = probe_lines(&mut session);
         assert!(
             !first.is_empty(),
             "{name}: corpus programs declare examples"
         );
-        assert_eq!(first, probe_lines(&mut bs), "{name}: first-frame probes");
+        assert_eq!(
+            first,
+            reference_lines(&session),
+            "{name}: first-frame probes"
+        );
         for step in 0..entry.spec.size.rows() + 2 {
-            // Misses are legal and identical across engines.
-            let _ = vm.tap_path(&[step]);
-            let _ = bs.tap_path(&[step]);
+            // Misses are legal.
+            let _ = session.tap_path(&[step]);
             assert_eq!(
-                probe_lines(&mut vm),
-                probe_lines(&mut bs),
+                probe_lines(&mut session),
+                reference_lines(&session),
                 "{name}: probes after tap {step}"
             );
         }

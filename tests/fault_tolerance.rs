@@ -1,7 +1,7 @@
 //! Fault-containment suite: the transactional-transition and
 //! last-good-display guarantees, end to end through [`LiveSession`].
 //!
-//! Four mandated properties:
+//! Five mandated properties:
 //!
 //! 1. a faulting handler rolls the store back byte-identically;
 //! 2. a type-correct edit whose render diverges is auto-reverted
@@ -11,7 +11,10 @@
 //! 4. a 256-iteration random walk over taps, edits, undo, back, and
 //!    deterministically injected faults never kills the session —
 //!    `live_view()` always renders and handler faults never leak into
-//!    the store.
+//!    the store;
+//! 5. recursion past the VM's call-depth budget is a contained fault,
+//!    never a stack overflow — in a solo session and in a host, whose
+//!    other sessions keep serving.
 //!
 //! All walks run on the `alive-testkit` property harness: failures
 //! print a seed, and `ALIVE_TESTKIT_SEED=<seed> cargo test` replays
@@ -35,7 +38,6 @@ fn fast_session(source: &str) -> Result<LiveSession, its_alive::live::SessionErr
         SystemConfig {
             fuel: 50_000,
             max_transitions: 500,
-            ..SystemConfig::default()
         },
         false,
     )
@@ -427,7 +429,6 @@ fn corpus_walk_with_faults_never_kills_any_scenario() {
                     SystemConfig {
                         fuel: 500_000,
                         max_transitions: 500,
-                        ..SystemConfig::default()
                     },
                     false,
                 )
@@ -516,4 +517,139 @@ fn fault_walk_cases_replay_byte_for_byte() {
     let second = capture();
     assert_eq!(first.len(), 16);
     assert_eq!(first, second, "same seed, same fault plans and steps");
+}
+
+// ---------------------------------------------------------------------
+// 5. The call-depth budget: deep recursion is a contained fault
+// ---------------------------------------------------------------------
+
+/// A pure function recursing `depth` deep from a tap handler, next to
+/// one that nests calls exactly as deep as the VM's call-depth budget
+/// allows: the handler is one call level and `down(k)` adds `k + 1`.
+fn deep_app(depth: u64) -> String {
+    let at_budget = its_alive::core::vm::MAX_CALL_DEPTH - 2;
+    format!(
+        "global out : number = 0
+         fun down(k: number): number pure {{ if k <= 0 {{ 0 }} else {{ 1 + down(k - 1) }} }}
+         page start() {{
+             render {{
+                 boxed {{ post \"out \" ++ out; on tap {{ out := down({depth}); }} }}
+                 boxed {{ post \"at budget\"; on tap {{ out := down({at_budget}); }} }}
+             }}
+         }}"
+    )
+}
+
+/// Run `f` on a thread with the stack size hosts give their workers,
+/// which the call-depth budget is derived from.
+fn on_eval_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(its_alive::core::vm::EVAL_STACK_BYTES)
+        .spawn(f)
+        .expect("spawns")
+        .join()
+        .expect("no panic")
+}
+
+#[test]
+fn deep_recursion_is_a_contained_fault_and_keeps_the_last_good_view() {
+    on_eval_stack(|| {
+        let mut session = LiveSession::new(&deep_app(100_000)).expect("starts");
+        let before_view = session.live_view();
+        let before_store = session.system().store().clone();
+        session.tap_path(&[0]).expect("tap is delivered");
+        let fault = session.fault_log().latest().expect("logged").clone();
+        assert_eq!(fault.kind, FaultKind::Handler);
+        assert_eq!(
+            fault.error,
+            its_alive::core::RuntimeError::CallDepthExceeded(its_alive::core::vm::MAX_CALL_DEPTH)
+        );
+        assert_eq!(session.system().store(), &before_store, "rolled back");
+        assert_eq!(session.live_view(), before_view, "last good view stays");
+
+        // A chain exactly at the budget runs.
+        session.tap_path(&[1]).expect("tap");
+        let at_budget = f64::from(its_alive::core::vm::MAX_CALL_DEPTH - 2);
+        assert_eq!(
+            session.system().store().get("out"),
+            Some(&Value::Number(at_budget))
+        );
+        assert_eq!(session.fault_log().total(), 1, "no further faults");
+    });
+}
+
+#[test]
+fn deep_recursion_in_one_hosted_session_leaves_the_others_serving() {
+    use alive_serve::{HostConfig, SessionHost};
+    use its_alive::live::SessionCommand;
+
+    let host = SessionHost::new(HostConfig::with_workers(2));
+    let deep = host.create_session(&deep_app(100_000)).expect("compiles");
+    let others: Vec<_> = (0..3)
+        .map(|_| host.create_session(APP).expect("compiles"))
+        .collect();
+    let deep_before = host.latest_frame(deep).expect("live").expect("settled");
+    host.apply(deep, SessionCommand::TapPath(vec![0]))
+        .expect("the faulting command is answered");
+    let deep_after = host.latest_frame(deep).expect("live").expect("settled");
+    assert_eq!(deep_after.view, deep_before.view, "last good view stays");
+    for &id in &others {
+        host.apply(id, SessionCommand::TapPath(vec![0]))
+            .expect("taps");
+        let frame = host.latest_frame(id).expect("live").expect("settled");
+        assert!(frame.view.contains("count is 1"), "{}", frame.view);
+    }
+    host.shutdown();
+}
+
+#[test]
+fn too_deeply_nested_edit_is_rejected_with_a_diagnostic() {
+    let mut session = LiveSession::new(APP).expect("starts");
+    let before_view = session.live_view();
+    let deep = format!("{}0{}", "(".repeat(3_000), ")".repeat(3_000));
+    let edited = APP.replacen("math.abs(0 - 1)", &deep, 1);
+    match session.edit_source(&edited) {
+        EditOutcome::Rejected(diags) => {
+            let text = diags.to_string();
+            assert!(text.contains("nesting deeper than"), "{text}");
+        }
+        other => panic!("a 3,000-deep edit must be rejected: {other:?}"),
+    }
+    assert_eq!(session.source(), APP, "the old program keeps running");
+    assert_eq!(session.live_view(), before_view);
+}
+
+#[test]
+fn over_capacity_list_literal_is_rejected_and_one_below_runs() {
+    let literal = |n: usize| format!("[{}]", vec!["1"; n].join(", "));
+    let with_list = |n: usize| {
+        format!(
+            "global xs : list number = {}
+             page start() {{ render {{ post \"n \" ++ list.length(xs); }} }}",
+            literal(n)
+        )
+    };
+
+    // 70,000 elements need more registers than one VM frame holds: the
+    // checker rejects the edit, so the running program stays.
+    let mut session = LiveSession::new(APP).expect("starts");
+    let before_view = session.live_view();
+    match session.edit_source(&with_list(70_000)) {
+        EditOutcome::Rejected(diags) => {
+            let text = diags.to_string();
+            assert!(text.contains("registers"), "{text}");
+        }
+        other => panic!("a 70,000-element literal must be rejected: {other:?}"),
+    }
+    assert_eq!(session.source(), APP, "the old program keeps running");
+    assert_eq!(session.live_view(), before_view);
+
+    // 60,000 fit: the edit is accepted and the VM runs it.
+    let fits = with_list(60_000);
+    assert!(session.edit_source(&fits).is_applied(), "fits in a frame");
+    assert!(
+        session.live_view().contains("n 60000"),
+        "{}",
+        session.live_view()
+    );
 }

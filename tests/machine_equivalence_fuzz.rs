@@ -1,13 +1,13 @@
 //! Property fuzzing of the semantics: randomly generated well-typed
 //! programs evaluate identically under the faithful small-step
-//! substitution machine (Fig. 8) and the production big-step evaluator
-//! — values, stores, and event queues all agree. This is the
+//! substitution machine (Fig. 8) and the production bytecode VM —
+//! values, stores, event queues and box trees all agree. This is the
 //! machine-checked version of "the evaluator refines the calculus".
 
 use alive_testkit::{prop, prop_assert_eq, NoShrink, Rng};
 use its_alive::core::event::EventQueue;
 use its_alive::core::store::Store;
-use its_alive::core::{bigstep, compile, smallstep};
+use its_alive::core::{compile, smallstep, vm};
 
 /// Generate a well-typed numeric expression as source text, over a
 /// fixed context: globals `ga`, `gb` (numbers), function
@@ -103,31 +103,49 @@ fn machines_agree_on_generated_programs() {
             let ss =
                 smallstep::eval_state(&program, &mut ss_store, &mut ss_queue, FUEL, &page.init)
                     .expect("small-step init");
-            let mut bs_store = Store::new();
-            let mut bs_queue = EventQueue::new();
-            let (bs, _) = bigstep::run_state(
-                &program,
-                &mut bs_store,
-                &mut bs_queue,
+            let vmp = program.vm().expect("compiles to bytecode");
+            let mut scratch = vm::Scratch::new();
+            let mut vm_store = Store::new();
+            let mut vm_queue = EventQueue::new();
+            let vm_init = vm::transition_page_init(
+                &vmp,
+                &mut scratch,
+                &mut vm_store,
+                &mut vm_queue,
                 0,
                 FUEL,
-                vec![],
-                &page.init,
+                "start",
+                &[],
+                None,
+                None,
             )
-            .expect("big-step init");
+            .result
+            .expect("vm init");
 
-            prop_assert_eq!(ss.value, bs, "init values agree");
-            prop_assert_eq!(&ss_store, &bs_store, "stores agree");
-            prop_assert_eq!(&ss_queue, &bs_queue, "queues agree");
+            prop_assert_eq!(ss.value, vm_init, "init values agree");
+            prop_assert_eq!(&ss_store, &vm_store, "stores agree");
+            prop_assert_eq!(&ss_queue, &vm_queue, "queues agree");
 
             // render under both machines, from the shared store.
             let ss_render = smallstep::eval_render(&program, &mut ss_store, FUEL, &page.render)
                 .expect("small-step render");
-            let bs_render = bigstep::run_render(&program, &bs_store, 0, FUEL, vec![], &page.render)
-                .expect("big-step render");
+            let vm_root = vm::transition_page_render(
+                &vmp,
+                &mut scratch,
+                &vm_store,
+                0,
+                FUEL,
+                "start",
+                &[],
+                None,
+                None,
+                None,
+            )
+            .result
+            .expect("vm render");
             prop_assert_eq!(
                 ss_render.root.expect("box content"),
-                bs_render.root,
+                vm_root,
                 "box trees agree"
             );
             Ok(())

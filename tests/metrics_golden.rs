@@ -44,7 +44,6 @@ fn record() -> MetricsSnapshot {
         SystemConfig {
             fuel: 50_000,
             max_transitions: 500,
-            ..SystemConfig::default()
         },
         false,
         &registry,

@@ -10,18 +10,25 @@
 //! value, apply a random candidate, and check the display byte-for-byte.
 //! Replay a failure with `ALIVE_TESTKIT_SEED=<seed>`.
 //!
-//! A second test pins the tentpole invariant the repairs stand on: the
-//! bytecode VM (via its compile-time constant-provenance table) must
-//! tag every leaf and attribute with *the same* provenance the bigstep
-//! tree walker derives at run time — not just value-equal frames.
+//! A second test pins the invariant the repairs stand on: the bytecode
+//! VM (via its compile-time constant-provenance table) must tag every
+//! leaf and attribute with provenance that *re-evaluates* to the value
+//! it tags — the small-step reference machine reduces the tagged
+//! expression, under the captured environment, back to that value.
 
 use alive_testkit::{prop, prop_assert, prop_assert_eq, NoShrink, Rng};
 use its_alive::apps::{calculator, counter, gallery, mortgage, shopping};
 use its_alive::core::boxtree::{BoxItem, BoxNode};
-use its_alive::core::system::{EvalEngine, System, SystemConfig};
+use its_alive::core::provenance::Provenance;
+use its_alive::core::smallstep;
+use its_alive::core::system::System;
 use its_alive::core::value::fmt_number;
+use its_alive::core::widget::WidgetStore;
 use its_alive::core::{compile, Value};
+use its_alive::core::{Effect, Expr, ExprKind, Program};
 use its_alive::live::{LiveSession, RepairError};
+use its_alive::syntax::Span;
+use std::collections::HashMap;
 
 /// The walk pool: every demo program in `alive-apps` plus the full
 /// generated scenario corpus.
@@ -196,55 +203,129 @@ fn applied_repairs_re_render_the_desired_value() {
     );
 }
 
-/// Lockstep item-by-item comparison *including provenance*, which the
-/// value-based `BoxNode` equality deliberately ignores.
-fn assert_provenance_agrees(name: &str, vm: &BoxNode, bs: &BoxNode, tagged: &mut usize) {
-    assert_eq!(vm.items.len(), bs.items.len(), "{name}: item counts agree");
-    for (i, (a, b)) in vm.items.iter().zip(&bs.items).enumerate() {
-        match (a, b) {
-            (BoxItem::Child(ca), BoxItem::Child(cb)) => {
-                assert_provenance_agrees(name, ca, cb, tagged);
+/// Every `post` / `box.a :=` operand in the program — the expressions
+/// provenance tags — keyed by span.
+fn exprs_by_span(program: &Program) -> HashMap<Span, Expr> {
+    let mut out = HashMap::new();
+    let mut visit = |e: &Expr| {
+        if let ExprKind::Post(operand) | ExprKind::SetAttr(_, operand) = &e.kind {
+            out.insert(operand.span, (**operand).clone());
+        }
+    };
+    for page in program.pages() {
+        page.init.walk(&mut visit);
+        page.render.walk(&mut visit);
+    }
+    for fun in program.funs() {
+        fun.body.walk(&mut visit);
+    }
+    out
+}
+
+/// Tally of the provenance re-evaluation oracle.
+#[derive(Default)]
+struct ProvenanceTally {
+    /// Items whose provenance re-evaluated to the rendered value.
+    checked: usize,
+    /// Items left to the differential walks: operands reading view
+    /// state (provenance records no slot for them).
+    skipped: usize,
+}
+
+/// Re-evaluate every tagged item's provenance under its captured
+/// environment — as repair verification does — and require the
+/// rendered value back: a literal span must hold that literal, and an
+/// expression span must address an expression the small-step reference
+/// machine reduces to the value, with the captured free locals bound.
+fn assert_provenance_reevaluates(
+    name: &str,
+    system: &System,
+    exprs: &HashMap<Span, Expr>,
+    node: &BoxNode,
+    tally: &mut ProvenanceTally,
+) {
+    for (i, item) in node.items.iter().enumerate() {
+        let (value, prov) = match item {
+            BoxItem::Child(child) => {
+                assert_provenance_reevaluates(name, system, exprs, child, tally);
+                continue;
             }
-            _ => {
-                assert_eq!(a, b, "{name}: item {i} values agree");
-                assert_eq!(
-                    a.provenance(),
-                    b.provenance(),
-                    "{name}: item {i} provenance agrees (vm vs bigstep)"
-                );
-                if a.provenance().is_some() {
-                    *tagged += 1;
+            BoxItem::Leaf(v, p) | BoxItem::Attr(_, v, p) => (v, p),
+        };
+        let Some(prov) = prov else { continue };
+        let expr = exprs
+            .get(&prov.span())
+            .unwrap_or_else(|| panic!("{name}: item {i} provenance addresses an expression"));
+        let reads_view_state = {
+            let mut found = false;
+            expr.walk(&mut |e| found |= matches!(e.kind, ExprKind::WidgetRead(_)));
+            found
+        };
+        if reads_view_state {
+            tally.skipped += 1;
+            continue;
+        }
+        if let Provenance::Literal(_) = prov {
+            let literal = smallstep::expr_to_value(expr).expect("literal provenance is a literal");
+            assert_eq!(
+                format!("{literal:?}"),
+                format!("{value:?}"),
+                "{name}: item {i} literal"
+            );
+        }
+        let mut store = system.store().clone();
+        let mut widgets = WidgetStore::new();
+        let host = smallstep::Host {
+            widgets: Some(&mut widgets),
+            version: system.version(),
+            ..smallstep::Host::default()
+        };
+        let out = smallstep::run(
+            system.program(),
+            &mut store,
+            Effect::Render,
+            host,
+            system.config().fuel,
+            prov.env(),
+            expr,
+        )
+        .unwrap_or_else(|e| panic!("{name}: item {i} provenance re-evaluates: {e}"));
+        match (&out.value, value) {
+            // A re-evaluated λ closes over the captured free locals only;
+            // the rendered closure captured every visible binding. Same
+            // body, and each captured free local has the rendered value.
+            (Value::Closure(again), Value::Closure(shown)) => {
+                assert_eq!(again.body, shown.body, "{name}: item {i} closure body");
+                for (local, v) in again.env.iter() {
+                    let seen = shown.env.iter().rev().find(|(n, _)| n == local);
+                    assert_eq!(
+                        format!("{:?}", seen.map(|(_, v)| v)),
+                        format!("{:?}", Some(v)),
+                        "{name}: item {i} closure captures `{local}`"
+                    );
                 }
             }
+            (again, shown) => assert_eq!(
+                format!("{again:?}"),
+                format!("{shown:?}"),
+                "{name}: item {i} provenance re-evaluates to the rendered value"
+            ),
         }
+        tally.checked += 1;
     }
 }
 
 #[test]
-fn vm_and_bigstep_tag_identical_provenance_on_every_scenario() {
+fn vm_provenance_reevaluates_to_every_tagged_value_on_every_scenario() {
     for (name, source) in scenario_sources() {
         let program = compile(&source).expect("scenario programs compile");
-        let mut vm_sys = System::with_config(program.clone(), SystemConfig::default());
-        let mut bs_sys = System::with_config(
-            program,
-            SystemConfig {
-                engine: EvalEngine::Bigstep,
-                ..SystemConfig::default()
-            },
-        );
-        vm_sys.run_to_stable().expect("vm startup renders");
-        bs_sys.run_to_stable().expect("bigstep startup renders");
-        let vm_frame = vm_sys.rendered().expect("vm frame").clone();
-        let bs_frame = bs_sys.rendered().expect("bigstep frame").clone();
-        assert_eq!(vm_frame, bs_frame, "{name}: frames byte-identical");
-        let mut tagged = 0;
-        assert_provenance_agrees(&name, &vm_frame, &bs_frame, &mut tagged);
-        assert!(tagged > 0, "{name}: provenance actually present");
-        let stats = vm_sys.vm_stats();
-        assert_eq!(
-            stats.fallbacks, 0,
-            "{name}: provenance came from the VM, not a fallback ({stats:?})"
-        );
+        let exprs = exprs_by_span(&program);
+        let mut system = System::new(program);
+        let frame = system.rendered().expect("startup renders").clone();
+        let mut tally = ProvenanceTally::default();
+        assert_provenance_reevaluates(&name, &system, &exprs, &frame, &mut tally);
+        assert!(tally.checked > 0, "{name}: provenance actually checked");
+        let stats = system.vm_stats();
         assert!(stats.runs > 0, "{name}: the VM actually ran ({stats:?})");
     }
 }

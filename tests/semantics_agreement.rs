@@ -1,13 +1,12 @@
 //! E7 (correctness half) — the faithful small-step substitution machine
-//! (Fig. 8) and the production big-step evaluator agree on real
-//! programs: same values, same stores, same box trees, same enqueued
-//! events. (The performance half is `benches/eval_ablation.rs`.)
+//! (Fig. 8) and the production bytecode VM agree on real programs: same
+//! values, same stores, same box trees, same enqueued events. (The
+//! performance half is `benches/eval_ablation.rs`.)
 
-use its_alive::core::bigstep;
 use its_alive::core::event::EventQueue;
-use its_alive::core::smallstep;
 use its_alive::core::store::Store;
 use its_alive::core::{compile, Program};
+use its_alive::core::{smallstep, vm};
 
 const FUEL: u64 = 50_000_000;
 
@@ -29,29 +28,47 @@ fn assert_machines_agree(src: &str) {
     let ss_render =
         smallstep::eval_render(&p, &mut ss_store, FUEL, &page.render).expect("small-step render");
 
-    // Big-step.
-    let mut bs_store = Store::new();
-    let mut bs_queue = EventQueue::new();
-    let (bs_init, _) = bigstep::run_state(
-        &p,
-        &mut bs_store,
-        &mut bs_queue,
+    // The bytecode VM.
+    let vmp = p.vm().expect("compiles to bytecode");
+    let mut scratch = vm::Scratch::new();
+    let mut vm_store = Store::new();
+    let mut vm_queue = EventQueue::new();
+    let vm_init = vm::transition_page_init(
+        &vmp,
+        &mut scratch,
+        &mut vm_store,
+        &mut vm_queue,
         0,
         FUEL,
-        vec![],
-        &page.init,
+        "start",
+        &[],
+        None,
+        None,
     )
-    .expect("big-step init");
-    let bs_render =
-        bigstep::run_render(&p, &bs_store, 0, FUEL, vec![], &page.render).expect("big-step render");
+    .result
+    .expect("vm init");
+    let vm_root = vm::transition_page_render(
+        &vmp,
+        &mut scratch,
+        &vm_store,
+        0,
+        FUEL,
+        "start",
+        &[],
+        None,
+        None,
+        None,
+    )
+    .result
+    .expect("vm render");
 
-    assert_eq!(ss_init.value, bs_init, "init values agree");
-    assert_eq!(ss_store, bs_store, "stores agree");
-    assert_eq!(ss_queue, bs_queue, "queues agree");
+    assert_eq!(ss_init.value, vm_init, "init values agree");
+    assert_eq!(ss_store, vm_store, "stores agree");
+    assert_eq!(ss_queue, vm_queue, "queues agree");
     assert_eq!(
-        ss_render.root.expect("render produces content"),
-        bs_render.root,
-        "box trees agree"
+        format!("{:?}", ss_render.root.expect("render produces content")),
+        format!("{:?}", vm_root.without_provenance()),
+        "box trees agree, closures included"
     );
 }
 
@@ -138,8 +155,7 @@ fn machines_agree_on_navigation_events() {
 
 #[test]
 fn machines_agree_on_the_mortgage_math() {
-    // The paper's payment + amortization math, without local-assign
-    // (accumulators live in globals to stay inside the kernel).
+    // The paper's payment math.
     assert_machines_agree(
         "global term : number = 30
          global apr : number = 5
@@ -154,6 +170,38 @@ fn machines_agree_on_the_mortgage_math() {
              init { }
              render {
                  boxed { post \"payment \" ++ fmt.fixed(monthly_payment(balance), 2); }
+             }
+         }",
+    );
+}
+
+#[test]
+fn machines_agree_on_local_state_and_handler_closures() {
+    // Mutable locals (the amortization loop) and tap handlers that
+    // capture loop variables and locals: the frames compare byte for
+    // byte, so the closure values must be identical too.
+    assert_machines_agree(
+        "global balance : number = 1000
+         global picked : number = 0
+         fun amortize(principal: number, years: number): number pure {
+             let left = principal;
+             let y = 0;
+             while y < years { left := left - left / 10; y := y + 1; }
+             left
+         }
+         page start() {
+             init { balance := amortize(balance, 3); }
+             render {
+                 let total = 0;
+                 for i in 0 .. 3 {
+                     total := total + i;
+                     let label = \"row \" ++ i;
+                     boxed {
+                         post label ++ \" of \" ++ total;
+                         on tap { picked := i + total; }
+                     }
+                 }
+                 boxed { post balance; }
              }
          }",
     );
