@@ -29,7 +29,7 @@
 use alive_live::{
     parse_commands, FrameSnapshot, LiveSession, Registry, SessionCommand, SessionEffect,
 };
-use alive_ui::{layout, AnsiFramebuffer};
+use alive_ui::AnsiFramebuffer;
 use std::io::Write;
 use std::path::Path;
 use std::time::{Duration, SystemTime};
@@ -234,7 +234,7 @@ fn apply_save(
                 }
                 // A banner only accompanies a full repaint; the in-place
                 // patch path keeps the frame as the whole feedback.
-                paint(&snapshot, frame, full_repaint);
+                paint(session, &snapshot, frame, full_repaint);
             }
             _ => {}
         }
@@ -280,17 +280,23 @@ fn metrics_line(session: &LiveSession) -> String {
     )
 }
 
-/// Paint a frame snapshot: banner (if degraded), then the box tree via
-/// the framebuffer — a cursor-addressed patch when the cursor still
-/// sits below the previous frame, a full paint otherwise.
-fn paint(snapshot: &FrameSnapshot, frame: &mut AnsiFramebuffer, with_banner: bool) {
+/// Paint a frame snapshot: banner (if degraded), then the session's
+/// layout of the snapshot's display via the framebuffer — a
+/// cursor-addressed patch when the cursor still sits below the previous
+/// frame, a full paint otherwise.
+fn paint(
+    session: &mut LiveSession,
+    snapshot: &FrameSnapshot,
+    frame: &mut AnsiFramebuffer,
+    with_banner: bool,
+) {
     if with_banner {
         if let Some(banner) = &snapshot.banner {
             println!("{banner}");
         }
     }
-    match &snapshot.tree {
-        Some(root) => print!("{}", frame.render(&layout(root))),
+    match session.layout_tree() {
+        Some(tree) => print!("{}", frame.render(tree)),
         None => {
             frame.reset();
             print!("{}", snapshot.view);
@@ -327,7 +333,7 @@ fn show(session: &mut LiveSession, path: &str, frame: &mut AnsiFramebuffer) {
     println!("{}", metrics_line(session));
     for effect in effects {
         if let SessionEffect::Frame(snapshot) = effect {
-            paint(&snapshot, frame, true);
+            paint(session, &snapshot, frame, true);
         }
     }
     examples_panel(session);

@@ -1,154 +1,123 @@
-//! E-frame — the frame pipeline: full from-scratch layout + paint vs
-//! the incremental path (pointer-keyed layout cache, damage-driven
-//! repaint, generation-keyed view memo) on steady-state gallery and
-//! feed workloads.
+//! E-frame — the frame pipeline: one interaction plus one frame read
+//! (tap + frame) on the gallery and feed workloads, with the §5 memo
+//! off and on.
 //!
-//! Besides the wall-clock numbers, this bench counts the work each path
-//! does per frame — layout nodes measured and screen cells repainted —
-//! and cross-checks at every step that the incremental output is
-//! byte-identical to from-scratch rendering. The counters and their
-//! ratios are written to `BENCH_frame_pipeline.json` (the acceptance
-//! bars: ≥ 3× fewer nodes measured, ≥ 5× fewer cells repainted).
+//! Every frame is laid out once from scratch and painted in full; the
+//! bench checks at every step that the live view is byte-identical to
+//! `render_to_text(&layout(root))` of the current display, counts the
+//! work per frame (boxes laid out, cells painted, layouts computed) and
+//! writes the counters, the oracle verdicts and the timings to
+//! `BENCH_frame_pipeline.json`. The run exits non-zero if any frame
+//! diverged from the oracle.
 
 use alive_bench::{feed_session, feed_touch, gallery_session};
 use alive_live::LiveSession;
 use alive_testkit::Bench;
-use alive_ui::{layout, layout_incremental, render_to_text, LayoutCache};
+use alive_ui::{layout, render_to_text};
 use std::hint::black_box;
 
 const N: usize = 64;
 const STEPS: usize = 24;
 
-#[derive(Debug, Default)]
-struct Counters {
-    frames: u64,
-    nodes_full: u64,
-    nodes_incremental: u64,
-    nodes_reused: u64,
-    cells_full: u64,
-    cells_incremental: u64,
-}
+type Step = fn(&mut LiveSession, usize);
+type MakeSession = fn(usize, bool) -> LiveSession;
 
-impl Counters {
-    fn nodes_ratio(&self) -> f64 {
-        self.nodes_full as f64 / (self.nodes_incremental.max(1)) as f64
-    }
-
-    fn cells_ratio(&self) -> f64 {
-        self.cells_full as f64 / (self.cells_incremental.max(1)) as f64
-    }
-
-    fn to_json(&self, name: &str) -> String {
-        format!(
-            concat!(
-                "{{\"workload\":\"{}\",\"frames\":{},",
-                "\"full\":{{\"nodes_measured\":{},\"cells_repainted\":{}}},",
-                "\"incremental\":{{\"nodes_measured\":{},\"nodes_reused\":{},\"cells_repainted\":{}}},",
-                "\"nodes_measured_ratio\":{:.2},\"cells_repainted_ratio\":{:.2}}}"
-            ),
-            name,
-            self.frames,
-            self.nodes_full,
-            self.cells_full,
-            self.nodes_incremental,
-            self.nodes_reused,
-            self.cells_incremental,
-            self.nodes_ratio(),
-            self.cells_ratio(),
-        )
-    }
-}
-
-/// Drive `steps` steady-state interactions, accumulating per-frame work
-/// counters for both paths and asserting byte identity at every step.
-fn count_steady_state(
-    label: &str,
-    session: &mut LiveSession,
-    mut step_fn: impl FnMut(&mut LiveSession, usize),
-) -> Counters {
-    // Warm the pipeline: the first frame is always a full one.
-    session.live_view();
-    let mut counters = Counters::default();
-    for step in 0..STEPS {
-        step_fn(session, step);
-        let view = session.live_view();
-        let stats = session.frame_stats();
-        // What the full path would have done for this frame — and the
-        // byte-identity oracle for what the incremental path did.
-        let root = session.display_tree().expect("session has a view");
-        let mut fresh = LayoutCache::new();
-        let (tree, full_stats) = layout_incremental(&mut fresh, &root);
-        assert_eq!(
-            view,
-            render_to_text(&tree),
-            "{label}: incremental output diverged at step {step}"
-        );
-        let size = tree.size();
-        counters.frames += 1;
-        counters.nodes_full += full_stats.nodes_measured;
-        counters.nodes_incremental += stats.nodes_measured;
-        counters.nodes_reused += stats.nodes_reused;
-        counters.cells_full += size.w.max(0) as u64 * size.h.max(0) as u64;
-        counters.cells_incremental += stats.cells_repainted;
-    }
-    counters
-}
-
-/// Steady-state gallery step: tap the already-selected tile. The
-/// display is invalidated and re-rendered, but no subtree changes —
-/// the paper's "reuse box tree elements that have not changed" case.
+/// One steady-state gallery step: tap the already-selected tile. The
+/// display is invalidated and re-rendered, but no subtree changes.
 fn gallery_retap(session: &mut LiveSession, _step: usize) {
     session.tap_path(&[1]).expect("tap tile");
 }
 
+/// What `STEPS` tap + frame steps cost in work, and whether every frame
+/// matched the from-scratch oracle.
+#[derive(Debug, Default)]
+struct Counters {
+    frames: u64,
+    layouts: u64,
+    boxes: u64,
+    cells: u64,
+    byte_identity: bool,
+}
+
+impl Counters {
+    fn to_json(&self, name: &str, memo: bool) -> String {
+        let frames = self.frames.max(1) as f64;
+        format!(
+            concat!(
+                "{{\"workload\":\"{}\",\"memo\":{},\"frames\":{},\"layouts\":{},",
+                "\"boxes_per_frame\":{:.1},\"cells_per_frame\":{:.1},\"byte_identity\":{}}}"
+            ),
+            name,
+            memo,
+            self.frames,
+            self.layouts,
+            self.boxes as f64 / frames,
+            self.cells as f64 / frames,
+            self.byte_identity,
+        )
+    }
+}
+
+/// Drive `STEPS` tap + frame steps, comparing every frame against a
+/// from-scratch layout + paint of the same display.
+fn count_steps(session: &mut LiveSession, step_fn: Step) -> Counters {
+    session.live_view();
+    let start = session.frame_stats();
+    let mut counters = Counters {
+        byte_identity: true,
+        ..Counters::default()
+    };
+    for step in 0..STEPS {
+        step_fn(session, step);
+        let view = session.live_view();
+        let stats = session.frame_stats();
+        let root = session.display_tree().expect("session has a view");
+        counters.byte_identity &= view == render_to_text(&layout(&root));
+        counters.boxes += stats.nodes_measured;
+        counters.cells += stats.cells_repainted;
+    }
+    let end = session.frame_stats();
+    counters.frames = end.frames - start.frames;
+    counters.layouts = end.layouts - start.layouts;
+    counters
+}
+
 fn main() {
     let mut bench = Bench::from_args("frame_pipeline");
+    let workloads: [(&str, MakeSession, Step); 2] = [
+        ("gallery", gallery_session, gallery_retap),
+        ("feed", feed_session, feed_touch),
+    ];
 
-    // Work counters + byte-identity oracle over the steady states.
-    let gallery = count_steady_state("gallery", &mut gallery_session(N, true), gallery_retap);
-    let feed = count_steady_state("feed", &mut feed_session(N, true), feed_touch);
+    let mut reports = Vec::new();
+    let mut diverged = Vec::new();
+    for (label, make, step_fn) in workloads {
+        for memo in [false, true] {
+            let name = format!("{label}/{N}");
+            let counters = count_steps(&mut make(N, memo), step_fn);
+            if !counters.byte_identity {
+                diverged.push(format!("{name} memo={memo}"));
+            }
+            reports.push(counters.to_json(&name, memo));
 
-    // Wall-clock: one steady-state interaction plus a frame read, full
-    // pipeline (no reuse anywhere) vs incremental (memo + layout cache
-    // + damage repaint).
-    let mut full_gallery = gallery_session(N, false);
-    let mut step = 0usize;
-    bench.bench(&format!("full/gallery/{N}"), || {
-        gallery_retap(&mut full_gallery, step);
-        step += 1;
-        let root = full_gallery.display_tree().expect("view");
-        black_box(render_to_text(&layout(&root)))
-    });
-    let mut inc_gallery = gallery_session(N, true);
-    let mut step = 0usize;
-    bench.bench(&format!("incremental/gallery/{N}"), || {
-        gallery_retap(&mut inc_gallery, step);
-        step += 1;
-        black_box(inc_gallery.live_view())
-    });
-
-    let mut full_feed = feed_session(N, false);
-    let mut step = 0usize;
-    bench.bench(&format!("full/feed/{N}"), || {
-        feed_touch(&mut full_feed, step);
-        step += 1;
-        let root = full_feed.display_tree().expect("view");
-        black_box(render_to_text(&layout(&root)))
-    });
-    let mut inc_feed = feed_session(N, true);
-    let mut step = 0usize;
-    bench.bench(&format!("incremental/feed/{N}"), || {
-        feed_touch(&mut inc_feed, step);
-        step += 1;
-        black_box(inc_feed.live_view())
-    });
+            let mut session = make(N, memo);
+            session.live_view();
+            let mut step = 0usize;
+            let memo_label = if memo { "memo" } else { "plain" };
+            bench.bench(&format!("tap_frame/{memo_label}/{name}"), || {
+                step_fn(&mut session, step);
+                step += 1;
+                black_box(session.live_view())
+            });
+        }
+    }
 
     // Emit the machine-readable report before `finish` consumes the
-    // harness: reuse counters + the timing section.
+    // harness: work counters, oracle verdicts and the timing section.
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let report = format!(
-        "{{\"workloads\":[{},{}],\"timing\":{}}}\n",
-        gallery.to_json(&format!("gallery/{N}")),
-        feed.to_json(&format!("feed/{N}")),
+        "{{\"cpus\":{cpus},\"steps\":{STEPS},\"workloads\":[{}],\"timing\":{}}}\n",
+        reports.join(","),
         bench.to_json(),
     );
     // Anchor at the workspace root regardless of the invocation CWD.
@@ -158,15 +127,9 @@ fn main() {
         eprintln!("cannot write {}: {e}", out.display());
         std::process::exit(1);
     }
-    eprintln!(
-        "gallery: {:.1}x fewer nodes measured, {:.1}x fewer cells repainted",
-        gallery.nodes_ratio(),
-        gallery.cells_ratio()
-    );
-    eprintln!(
-        "feed:    {:.1}x fewer nodes measured, {:.1}x fewer cells repainted",
-        feed.nodes_ratio(),
-        feed.cells_ratio()
-    );
+    if !diverged.is_empty() {
+        eprintln!("frames diverged from the from-scratch oracle: {diverged:?}");
+        std::process::exit(1);
+    }
     bench.finish();
 }

@@ -1,5 +1,5 @@
-//! UI substrate micro-benchmarks: layout, text rendering, hit-testing,
-//! and display diffing, across wide (many siblings) and deep (nested)
+//! UI substrate micro-benchmarks: layout, text rendering and
+//! hit-testing, across wide (many siblings) and deep (nested)
 //! box trees. Establishes that the display pipeline stays linear and is
 //! not the bottleneck behind the render-scaling numbers of E4.
 
@@ -7,7 +7,7 @@ use alive_apps::gallery::{feed_src, nested_src};
 use alive_core::compile;
 use alive_core::system::System;
 use alive_testkit::Bench;
-use alive_ui::{diff_displays, hit_test, layout, render_to_text, Point};
+use alive_ui::{hit_test, layout, render_to_text, Point};
 use std::hint::black_box;
 
 fn rendered_root(src: &str) -> alive_core::BoxNode {
@@ -28,9 +28,6 @@ fn main() {
         let bottom = tree.size().h - 1;
         bench.bench(&format!("hit_test_wide/{n}"), || {
             black_box(hit_test(&tree, Point::new(0, bottom)))
-        });
-        bench.bench(&format!("diff_identical_wide/{n}"), || {
-            black_box(diff_displays(&root, &root))
         });
     }
 

@@ -1,9 +1,8 @@
 //! E-frame property: a 256-step seed-replayable random walk of taps,
 //! label edits, undo/redo, injected faults, and quarantined edits over
 //! the gallery and feed workloads, asserting at every step that the
-//! incremental frame pipeline (pointer-keyed layout cache, damage-driven
-//! repaint, generation-keyed view memo) is byte-identical to a
-//! from-scratch layout + paint oracle.
+//! frame pipeline (one layout per display generation, generation-keyed
+//! view memo) is byte-identical to a from-scratch layout + paint oracle.
 //!
 //! Replay a failure with
 //! `ALIVE_TESTKIT_SEED=0x… cargo test -p alive-bench --test frame_pipeline`.
@@ -63,8 +62,8 @@ fn check_view(label: &str, step: usize, session: &mut LiveSession) -> Result<(),
             let oracle = render_to_text(&layout(&root));
             if view != oracle {
                 return Err(format!(
-                    "{label}: incremental view diverged from the from-scratch \
-                     oracle at step {step}\n--- incremental ---\n{view}\
+                    "{label}: live view diverged from the from-scratch \
+                     oracle at step {step}\n--- live view ---\n{view}\
                      --- from scratch ---\n{oracle}"
                 ));
             }
@@ -187,7 +186,7 @@ fn walk(seed: u64) -> Result<(), String> {
 }
 
 #[test]
-fn incremental_pipeline_is_byte_identical_along_a_random_walk() {
+fn pipeline_is_byte_identical_along_a_random_walk() {
     check(
         "frame_pipeline/random_walk",
         Config::with_cases(3),

@@ -17,7 +17,7 @@ use std::sync::Arc;
 /// came from in the source — but provenance is **ignored by equality**:
 /// two frames that render the same pixels compare equal even if one was
 /// produced by the small-step reference machine, which tags nothing.
-/// This keeps the differential oracles and damage diffing value-based.
+/// This keeps the differential oracles value-based.
 #[derive(Debug, Clone)]
 pub enum BoxItem {
     /// `B v` — a posted leaf value, with the origin of the value.
@@ -26,8 +26,7 @@ pub enum BoxItem {
     Attr(Attr, Value, Option<Provenance>),
     /// `B ⟨B⟩` — a nested box. Children are reference-counted so that
     /// unchanged subtrees can be *shared* across frames: a memo-cache
-    /// splice is an O(1) pointer copy, and downstream passes (layout,
-    /// paint) can detect "nothing changed here" by pointer identity.
+    /// splice is an O(1) pointer copy.
     Child(Arc<BoxNode>),
 }
 

@@ -6,9 +6,8 @@
 //! at most a handful of `Vec` growths and zero per-value heap
 //! allocations for locals. The backing storage is an epoch arena: each
 //! transition calls [`Scratch::begin`], which bumps the epoch and
-//! resets the *length* but keeps the *capacity*, mirroring the
-//! two-generation `LayoutCache` eviction — memory stays warm across the
-//! RENDER loop instead of being reallocated per frame.
+//! resets the *length* but keeps the *capacity*, so memory stays warm
+//! across the RENDER loop instead of being reallocated per frame.
 //!
 //! The same object pools the render spine: the `Vec<BoxNode>` of open
 //! box frames is borrowed per run ([`Scratch::take_box_spine`]) and

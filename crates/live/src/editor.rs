@@ -72,10 +72,9 @@ pub fn split_view(
     let display = session
         .display_tree()
         .unwrap_or_else(|| Arc::new(BoxNode::new(None)));
-    let program = session.system().program();
-    let source = session.source();
 
     // Resolve the selection to (boxes, span) in both directions.
+    let program = session.system().program();
     let (selected_boxes, selected_span): (Vec<Vec<usize>>, Option<Span>) = match selection {
         Selection::None => (Vec::new(), None),
         Selection::Box(path) => {
@@ -88,14 +87,21 @@ pub fn split_view(
         },
     };
 
-    // Left pane: the live view with all boxes outlined (inspection
-    // mode), selected boxes marked in the gutter.
-    let tree = layout(&display);
+    // Left pane: the session's layout of the live view, selected boxes
+    // marked in the gutter.
+    let empty;
+    let tree = match session.layout_tree() {
+        Some(tree) => tree,
+        None => {
+            empty = layout(&display);
+            &empty
+        }
+    };
     let live_text = if options.zoom > 1 {
-        alive_ui::render_zoomed_out(&tree, options.zoom)
+        alive_ui::render_zoomed_out(tree, options.zoom)
     } else {
         render_with_options(
-            &tree,
+            tree,
             RenderOptions {
                 outline_all_boxes: false,
                 ..RenderOptions::default()
@@ -122,6 +128,7 @@ pub fn split_view(
     }
 
     // Right pane: the code with the selected statement marked.
+    let source = session.source();
     let (sel_start_line, sel_end_line) = match selected_span {
         Some(span) => {
             let map = alive_syntax::SourceMap::new(source);

@@ -15,10 +15,10 @@
 //!   is inverted through provenance into ranked candidate code edits.
 //! * **Render memoization** ([`memo`]): the §5 optimization that reuses
 //!   box subtrees whose inputs have not changed.
-//! * **Frame pipeline** ([`pipeline`]): the same reuse extended through
-//!   layout and paint — pointer-keyed incremental layout, damage-driven
-//!   partial repaint, and a generation-keyed view memo, with
-//!   [`pipeline::FrameStats`] observability.
+//! * **Frame pipeline** ([`pipeline`]): one from-scratch layout per
+//!   display generation, shared by paint and hit-testing, plus a
+//!   generation-keyed view memo, with [`pipeline::FrameStats`]
+//!   observability.
 //! * **Fault containment** ([`fault_log`], [`session`]): runtime faults
 //!   degrade the session (last good view + fault banner) instead of
 //!   killing it; faulting edits are quarantined and auto-reverted.

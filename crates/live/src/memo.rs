@@ -6,7 +6,8 @@
 //! [`MemoCache`] implements that optimization as a [`RenderHook`]: each
 //! `boxed` statement's subtree is cached under a key derived from the
 //! statement identity, the visible local environment, the values of all
-//! globals the statement's body can read, and the code version. On the
+//! globals the statement's body can read (each value hashed once per
+//! render), and the code version. On the
 //! next render, subtrees whose inputs are unchanged are spliced in
 //! without re-evaluating the body.
 //!
@@ -426,6 +427,9 @@ pub struct MemoStats {
     pub misses: u64,
     /// `boxed` statements that are statically uncacheable.
     pub uncacheable: u64,
+    /// Global values hashed into keys: at most one per global a render
+    /// reads, however many boxes read it.
+    pub globals_digested: u64,
 }
 
 /// The render cache: a [`RenderHook`] implementing the §5 reuse
@@ -435,12 +439,19 @@ pub struct MemoStats {
 pub struct MemoCache {
     deps: RenderDeps,
     // Entries hold `Arc<BoxNode>` so a hit splices the cached subtree by
-    // pointer copy — O(1) instead of a deep clone — and the spliced
-    // subtree stays pointer-identical across frames, which the layout
-    // cache and damage diff downstream rely on to skip work.
+    // pointer copy — O(1) instead of a deep clone.
     current: HashMap<u64, (Arc<BoxNode>, Value)>,
     previous: HashMap<u64, (Arc<BoxNode>, Value)>,
     store_snapshot: Store,
+    /// Digest of each global value read this render, computed on the
+    /// first key that reads it: a list global read by every row of a
+    /// list is hashed once per render, not once per row.
+    global_digests: HashMap<Name, u64>,
+    /// Keys of the `boxed` bodies being evaluated, innermost last.
+    /// [`RenderHook::enter_boxed`] pushes a miss's key (`None` when the
+    /// statement is uncacheable) and [`RenderHook::after_boxed`] pops
+    /// it, so a miss's key is computed once.
+    open: Vec<Option<u64>>,
     version: u64,
     stats: MemoStats,
 }
@@ -490,9 +501,12 @@ impl MemoCache {
             self.previous = std::mem::take(&mut self.current);
         }
         self.store_snapshot = store.clone();
+        self.global_digests.clear();
+        // A render that faulted inside a body never closed its key.
+        self.open.clear();
     }
 
-    fn key(&self, id: BoxSourceId, locals: &[(Name, Value)]) -> Option<u64> {
+    fn key(&mut self, id: BoxSourceId, locals: &[(Name, Value)]) -> Option<u64> {
         let read_set = self.deps.read_set(id)?;
         if !read_set.cacheable {
             return None;
@@ -507,10 +521,21 @@ impl MemoCache {
         }
         for g in &read_set.globals {
             g.hash(&mut hasher);
-            match self.store_snapshot.get(g) {
-                Some(v) => hash_value(v, &mut hasher),
-                None => 0u8.hash(&mut hasher),
-            }
+            let digest = match self.global_digests.get(g) {
+                Some(digest) => *digest,
+                None => {
+                    let mut global = DefaultHasher::new();
+                    match self.store_snapshot.get(g) {
+                        Some(v) => hash_value(v, &mut global),
+                        None => 0u8.hash(&mut global),
+                    }
+                    let digest = global.finish();
+                    self.stats.globals_digested += 1;
+                    self.global_digests.insert(g.clone(), digest);
+                    digest
+                }
+            };
+            digest.hash(&mut hasher);
         }
         Some(hasher.finish())
     }
@@ -524,6 +549,7 @@ impl RenderHook for MemoCache {
     ) -> Option<(Arc<BoxNode>, Value)> {
         let Some(key) = self.key(id, locals) else {
             self.stats.uncacheable += 1;
+            self.open.push(None);
             return None;
         };
         if let Some((node, value)) = self.current.get(&key) {
@@ -536,17 +562,18 @@ impl RenderHook for MemoCache {
             self.current.insert(key, entry);
             return Some(out);
         }
+        self.open.push(Some(key));
         None
     }
 
     fn after_boxed(
         &mut self,
-        id: BoxSourceId,
-        locals: &[(Name, Value)],
+        _id: BoxSourceId,
+        _locals: &[(Name, Value)],
         node: &Arc<BoxNode>,
         value: &Value,
     ) {
-        if let Some(key) = self.key(id, locals) {
+        if let Some(Some(key)) = self.open.pop() {
             self.stats.misses += 1;
             self.current.insert(key, (Arc::clone(node), value.clone()));
         }
@@ -696,6 +723,51 @@ mod tests {
         let t1 = Value::tuple(vec![Value::str("a"), Value::Number(1.0)]);
         let t2 = Value::tuple(vec![Value::str("a"), Value::Number(1.0)]);
         assert_eq!(h(&t1), h(&t2));
+    }
+
+    #[test]
+    fn each_read_global_is_digested_once_per_render() {
+        use alive_core::vm;
+        const N: usize = 40;
+        let p = compile(
+            "global items : list number = []
+             page start() {
+                 render {
+                     foreach x in items {
+                         boxed { post x + list.length(items); }
+                     }
+                 }
+             }",
+        )
+        .expect("compiles");
+        let vmp = p.vm().expect("compiles to bytecode");
+        let mut scratch = vm::Scratch::new();
+        let mut store = Store::new();
+        store.set(
+            "items",
+            Value::list((0..N).map(|i| Value::Number(i as f64)).collect()),
+        );
+        let mut cache = MemoCache::new(&p);
+        for render in 1..=2u64 {
+            cache.begin_render(&store, 0);
+            let run = vm::transition_page_render(
+                &vmp,
+                &mut scratch,
+                &store,
+                0,
+                1_000_000,
+                "start",
+                &[],
+                Some(&mut cache as &mut dyn RenderHook),
+                None,
+                None,
+            );
+            assert_eq!(run.result.expect("renders").children().count(), N);
+            // Every row reads `items`; its value is hashed once a render.
+            assert_eq!(cache.stats().globals_digested, render);
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (N as u64, N as u64));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Where [`alive_core::metrics::SystemMetrics`] counts what the
 //! transition machine does, [`SessionMetrics`] measures the developer
 //! experience on top of it: edit outcomes, undo/redo outcomes, and the
-//! frame pipeline's stage timings and reuse ratios — fed from
+//! frame pipeline's stage timings and memo reuse ratio — fed from
 //! [`crate::pipeline::FrameStats`] into latency histograms each time a
 //! frame is actually rendered.
 //!
@@ -39,16 +39,15 @@ pub mod names {
     pub const COMMANDS: &str = "session.commands";
     /// µs settling the system (evaluation) before each rendered frame.
     pub const FRAME_EVAL_US: &str = "frame.eval_us";
-    /// µs in incremental layout per rendered frame.
+    /// µs laying out the display of each rendered frame.
     pub const FRAME_LAYOUT_US: &str = "frame.layout_us";
-    /// µs in damage-driven repaint per rendered frame.
+    /// µs painting each rendered frame.
     pub const FRAME_PAINT_US: &str = "frame.paint_us";
-    /// Screen cells repainted per rendered frame.
+    /// Screen cells painted per rendered frame (every frame is a full
+    /// paint).
     pub const FRAME_CELLS_REPAINTED: &str = "frame.cells_repainted";
     /// Percent of `boxed` evaluations served by the memo per frame.
     pub const FRAME_EVAL_REUSE_PCT: &str = "frame.eval_reuse_pct";
-    /// Percent of layout nodes skipped by the measure cache per frame.
-    pub const FRAME_LAYOUT_REUSE_PCT: &str = "frame.layout_reuse_pct";
     /// Fleet UPDATEs applied to this session (host-pushed, pre-compiled).
     pub const FLEET_UPDATES: &str = "session.fleet.updates";
     /// Fleet UPDATEs reverted by the host's canary auto-rollback.
@@ -57,7 +56,7 @@ pub mod names {
     pub const FLEET_PROMOTES: &str = "session.fleet.promotes";
 }
 
-/// Bucket bounds for percentage-valued histograms (reuse ratios).
+/// Bucket bounds for percentage-valued histograms (the eval reuse ratio).
 const PCT_BOUNDS: &[u64] = &[10, 20, 30, 40, 50, 60, 70, 80, 90, 100];
 
 /// Bucket bounds for per-frame repainted-cell counts: spans a banner
@@ -84,7 +83,6 @@ pub struct SessionMetrics {
     frame_paint_us: Histogram,
     frame_cells_repainted: Histogram,
     frame_eval_reuse_pct: Histogram,
-    frame_layout_reuse_pct: Histogram,
 }
 
 impl SessionMetrics {
@@ -110,8 +108,6 @@ impl SessionMetrics {
                 .histogram_with_bounds(names::FRAME_CELLS_REPAINTED, CELL_BOUNDS),
             frame_eval_reuse_pct: registry
                 .histogram_with_bounds(names::FRAME_EVAL_REUSE_PCT, PCT_BOUNDS),
-            frame_layout_reuse_pct: registry
-                .histogram_with_bounds(names::FRAME_LAYOUT_REUSE_PCT, PCT_BOUNDS),
         }
     }
 
@@ -178,14 +174,10 @@ impl SessionMetrics {
         self.frame_layout_us.record(stats.layout_us);
         self.frame_paint_us.record(stats.paint_us);
         self.frame_cells_repainted.record(stats.cells_repainted);
-        // Ratios are only meaningful when the stage did any work.
+        // The ratio is only meaningful when the memo saw any box.
         if stats.eval_hits + stats.eval_misses > 0 {
             self.frame_eval_reuse_pct
                 .record((stats.eval_reuse() * 100.0).round() as u64);
-        }
-        if stats.nodes_measured + stats.nodes_reused > 0 {
-            self.frame_layout_reuse_pct
-                .record((stats.layout_reuse() * 100.0).round() as u64);
         }
     }
 }

@@ -1,60 +1,56 @@
-//! The frame pipeline: layout and paint with cross-frame reuse.
+//! The frame pipeline: one layout and one paint per display generation.
 //!
 //! The paper's §5 optimization — "reuse box tree elements that have not
-//! changed" — is implemented for *evaluation* by [`crate::memo`]. This
-//! module extends the same reuse through the rest of the frame:
+//! changed" — is implemented for *evaluation* by [`crate::memo`]. Past
+//! evaluation, a frame is cheap enough to build from scratch: the
+//! pipeline lays the display out with [`alive_ui::layout()`] and paints it
+//! with [`alive_ui::render_to_text`], with no cross-frame state beyond
+//! two results keyed by
+//! [`alive_core::system::System::display_generation`]:
 //!
-//! * **Layout** runs through [`alive_ui::layout_incremental`], whose
-//!   pointer-keyed [`LayoutCache`] skips the measure pass for subtrees
-//!   that are `Arc`-identical to last frame's (exactly the subtrees the
-//!   memo cache spliced).
-//! * **Paint** runs through a retained [`TextFrame`]: the old and new
-//!   displays are diffed, the damage rectangles computed, and only the
-//!   damaged cells repainted.
-//! * **The whole view** is memoized against
-//!   [`alive_core::system::System::display_generation`], so repeated
-//!   reads of an unchanged display are a string clone.
+//! * **The layout** of the latest generation asked for. Painting and
+//!   hit-testing share it: a tap on the frame just read, or a frame read
+//!   after a tap on the same generation, lays the tree out once.
+//! * **The view string**, so repeated reads of an unchanged display are
+//!   a string clone.
 //!
-//! The invariant that makes all this safe to enable unconditionally is
-//! *byte identity*: for every frame, the pipeline's output equals
-//! `render_to_text(&layout(root))` computed from scratch. The pipeline
-//! only ever updates its retained state (previous root, previous layout
-//! tree, retained canvas) together, so the three are always mutually
-//! consistent; the cross-check oracle tests in `tests/frame_pipeline.rs`
-//! drive random sessions asserting the identity at every step.
+//! A generation names one display for the lifetime of a system, so both
+//! results are exactly `render_to_text(&layout(root))` of the current
+//! root; the oracle tests in `crates/bench/tests/frame_pipeline.rs`
+//! drive random sessions asserting that identity at every step.
 
 use alive_core::boxtree::BoxNode;
 use alive_obs::{Clock, MonotonicClock};
-use alive_ui::{
-    damage_rects, diff_displays, layout_incremental, LayoutCache, LayoutTree, TextFrame,
-};
+use alive_ui::{layout, render_to_text, LayoutTree};
 use std::sync::Arc;
 
-/// Observability counters for the frame pipeline, covering every reuse
-/// layer: evaluation (memo), layout (measure cache), paint (damage) and
-/// the whole-view string memo. Per-frame fields describe the *last*
-/// frame actually rendered; `frames` and `view_hits` accumulate.
+/// Observability counters for the frame pipeline. Per-frame fields
+/// describe the *last* frame actually rendered; `frames`, `view_hits`
+/// and `layouts` accumulate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrameStats {
     /// Frames rendered by the pipeline (view-memo misses).
     pub frames: u64,
     /// View reads answered from the generation-keyed string memo.
     pub view_hits: u64,
+    /// Layouts computed: at most one per display generation, shared by
+    /// the frame's paint and any hit-test against it.
+    pub layouts: u64,
     /// `boxed` evaluations answered from the render memo cache
     /// (lifetime total; zero when the session runs without a memo).
     pub eval_hits: u64,
     /// `boxed` evaluations that ran and populated the memo cache.
     pub eval_misses: u64,
-    /// Layout nodes measured from scratch last frame.
+    /// Boxes laid out for the last frame.
     pub nodes_measured: u64,
-    /// Layout nodes skipped via the pointer-keyed cache last frame.
+    /// Boxes whose layout was reused from an earlier frame: always zero,
+    /// every frame is laid out from scratch.
     pub nodes_reused: u64,
-    /// Screen cells repainted last frame.
+    /// Screen cells painted last frame: every frame is a full paint, so
+    /// this equals [`FrameStats::cells_total`].
     pub cells_repainted: u64,
     /// Total screen cells (width × height) last frame.
     pub cells_total: u64,
-    /// Whether the last frame was a partial (damage-driven) repaint.
-    pub partial: bool,
     /// Microseconds the RENDER transition that produced the last frame
     /// spent evaluating. Zero here; [`crate::LiveSession`] stamps it,
     /// like the `eval_*` counters.
@@ -70,52 +66,38 @@ pub struct FrameStats {
     /// Lifetime VM bytecode-cache hits (dispatches that reused the
     /// already-compiled program). Stamped by [`crate::LiveSession`].
     pub vm_cache_hits: u64,
-    /// Microseconds spent in layout last frame.
+    /// Microseconds spent laying out the last frame's display.
     pub layout_us: u64,
-    /// Microseconds spent in paint last frame.
+    /// Microseconds spent painting the last frame.
     pub paint_us: u64,
 }
 
 impl FrameStats {
     /// Fraction of `boxed` evaluations served by the memo cache, 0–1.
     pub fn eval_reuse(&self) -> f64 {
-        ratio(self.eval_hits, self.eval_hits + self.eval_misses)
-    }
-
-    /// Fraction of layout nodes skipped by the measure cache, 0–1.
-    pub fn layout_reuse(&self) -> f64 {
-        ratio(self.nodes_reused, self.nodes_reused + self.nodes_measured)
-    }
-
-    /// Fraction of screen cells repainted last frame, 0–1.
-    pub fn repaint_fraction(&self) -> f64 {
-        ratio(self.cells_repainted, self.cells_total)
+        let total = self.eval_hits + self.eval_misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.eval_hits as f64 / total as f64
+        }
     }
 }
 
-fn ratio(part: u64, whole: u64) -> f64 {
-    if whole == 0 {
-        0.0
-    } else {
-        part as f64 / whole as f64
-    }
+/// A layout together with the generation it lays out and its cost.
+#[derive(Debug)]
+struct Laid {
+    generation: u64,
+    tree: LayoutTree,
+    boxes: u64,
+    us: u64,
 }
 
-/// The retained state that carries reuse across frames: the layout
-/// cache, the previously painted root and its layout tree (for damage
-/// diffing), the retained text canvas, and the generation-keyed view
-/// string.
-///
-/// The previous root, previous tree, and retained canvas are updated
-/// atomically by [`FramePipeline::render`], so the canvas content is
-/// always the full paint of the previous tree and the previous tree is
-/// always the layout of the previous root — the consistency the partial
-/// repaint path relies on.
+/// The per-generation frame state: the latest layout and the latest
+/// view string, each keyed by the display generation it was built for.
 #[derive(Debug)]
 pub struct FramePipeline {
-    cache: LayoutCache,
-    frame: TextFrame,
-    prev: Option<(BoxNode, LayoutTree)>,
+    laid: Option<Laid>,
     view: Option<(u64, String)>,
     stats: FrameStats,
     /// Stage timings are taken against this clock — the real monotonic
@@ -127,9 +109,7 @@ pub struct FramePipeline {
 impl Default for FramePipeline {
     fn default() -> Self {
         FramePipeline {
-            cache: LayoutCache::default(),
-            frame: TextFrame::default(),
-            prev: None,
+            laid: None,
             view: None,
             stats: FrameStats::default(),
             clock: Arc::new(MonotonicClock::new()),
@@ -138,7 +118,7 @@ impl Default for FramePipeline {
 }
 
 impl FramePipeline {
-    /// An empty pipeline; the first frame is always rendered in full.
+    /// An empty pipeline.
     pub fn new() -> Self {
         FramePipeline::default()
     }
@@ -155,23 +135,33 @@ impl FramePipeline {
         self.stats
     }
 
-    /// Drop all retained state: the next frame is a full layout and a
-    /// full repaint. Reuse this when the terminal was disturbed by
-    /// output the pipeline did not produce.
-    pub fn invalidate(&mut self) {
-        self.cache.clear();
-        self.frame = TextFrame::new();
-        self.prev = None;
-        self.view = None;
+    /// The layout of `root`, the display at `generation`: laid out on
+    /// the first call for a generation, returned as-is on later ones.
+    pub fn layout(&mut self, generation: u64, root: &BoxNode) -> &LayoutTree {
+        let laid = match self.laid.take() {
+            Some(laid) if laid.generation == generation => laid,
+            _ => {
+                let start = self.clock.now_us();
+                let tree = layout(root);
+                let us = self.clock.now_us().saturating_sub(start);
+                self.stats.layouts += 1;
+                Laid {
+                    generation,
+                    boxes: tree.root.box_count() as u64,
+                    tree,
+                    us,
+                }
+            }
+        };
+        &self.laid.insert(laid).tree
     }
 
-    /// Render `root` as text, reusing whatever the previous frames make
-    /// reusable. `generation` keys the whole-view memo: pass
+    /// Render `root`, the display at `generation`, as text. `generation`
+    /// keys the view memo and the layout: pass
     /// [`alive_core::system::System::display_generation`], which changes
     /// whenever the display is reassigned.
     ///
-    /// Output is byte-identical to
-    /// `alive_ui::render_to_text(&alive_ui::layout(root))`.
+    /// Output is `alive_ui::render_to_text(&alive_ui::layout(root))`.
     pub fn render(&mut self, generation: u64, root: &BoxNode) -> String {
         if let Some((g, text)) = &self.view {
             if *g == generation {
@@ -179,42 +169,22 @@ impl FramePipeline {
                 return text.clone();
             }
         }
-        let layout_start = self.clock.now_us();
-        let (tree, layout_stats) = layout_incremental(&mut self.cache, root);
-        let layout_us = self.clock.now_us().saturating_sub(layout_start);
-
-        let paint_start = self.clock.now_us();
-        let mut partial = false;
-        let text = match &self.prev {
-            Some((prev_root, prev_tree)) => {
-                let changes = diff_displays(prev_root, root);
-                let damage = damage_rects(prev_tree, &tree, &changes);
-                match self.frame.render_damaged(&tree, &damage) {
-                    Some(text) => {
-                        partial = true;
-                        text
-                    }
-                    // Size changed (or no retained canvas): full paint.
-                    None => self.frame.render_full(&tree),
-                }
-            }
-            None => self.frame.render_full(&tree),
-        };
-        let paint_us = self.clock.now_us().saturating_sub(paint_start);
-
+        let clock = Arc::clone(&self.clock);
+        let tree = self.layout(generation, root);
+        let paint_start = clock.now_us();
+        let text = render_to_text(tree);
+        let paint_us = clock.now_us().saturating_sub(paint_start);
         let size = tree.size();
-        self.stats.frames += 1;
-        self.stats.nodes_measured = layout_stats.nodes_measured;
-        self.stats.nodes_reused = layout_stats.nodes_reused;
-        self.stats.cells_repainted = self.frame.cells_repainted();
-        self.stats.cells_total = u64::from(size.w.max(0) as u32) * u64::from(size.h.max(0) as u32);
-        self.stats.partial = partial;
-        self.stats.layout_us = layout_us;
-        self.stats.paint_us = paint_us;
+        let cells = u64::from(size.w.max(0) as u32) * u64::from(size.h.max(0) as u32);
 
-        // Shallow clone: children are `Arc`-shared, so retaining the root
-        // costs one item-vector copy, not a deep tree copy.
-        self.prev = Some((root.clone(), tree));
+        if let Some(laid) = &self.laid {
+            self.stats.nodes_measured = laid.boxes;
+            self.stats.layout_us = laid.us;
+        }
+        self.stats.frames += 1;
+        self.stats.cells_repainted = cells;
+        self.stats.cells_total = cells;
+        self.stats.paint_us = paint_us;
         self.view = Some((generation, text.clone()));
         text
     }
@@ -252,25 +222,17 @@ mod tests {
         let frame_a = root_of(shared.clone());
         let out = pipeline.render(1, &frame_a);
         assert_eq!(out, render_to_text(&layout(&frame_a)));
-        assert!(!pipeline.stats().partial, "first frame is full");
 
-        // Second frame: one row changes (same width, so the canvas size
-        // is stable and the frame can be patched), the rest share.
+        // Second frame: one row changes, the rest share.
         let mut children = shared.clone();
         children[2] = Arc::new(leaf("row X"));
         let frame_b = root_of(children);
         let out = pipeline.render(2, &frame_b);
         assert_eq!(out, render_to_text(&layout(&frame_b)));
         let stats = pipeline.stats();
-        assert!(stats.partial, "steady-state frame repaints partially");
-        assert!(
-            stats.nodes_reused >= 3,
-            "shared rows skip the measure pass: {stats:?}"
-        );
-        assert!(
-            stats.cells_repainted < stats.cells_total,
-            "only the changed row repaints: {stats:?}"
-        );
+        assert_eq!(stats.frames, 2);
+        assert_eq!(stats.nodes_measured, 5, "every box is laid out");
+        assert_eq!(stats.cells_repainted, stats.cells_total);
     }
 
     #[test]
@@ -283,27 +245,21 @@ mod tests {
         let stats = pipeline.stats();
         assert_eq!(stats.frames, 1, "second read never touched the pipeline");
         assert_eq!(stats.view_hits, 1);
+        assert_eq!(stats.layouts, 1);
     }
 
     #[test]
-    fn size_change_falls_back_to_a_full_frame() {
+    fn layout_is_shared_within_a_generation() {
+        let frame = root_of(vec![Arc::new(leaf("x")), Arc::new(leaf("y"))]);
         let mut pipeline = FramePipeline::new();
-        let small = root_of(vec![Arc::new(leaf("a"))]);
-        pipeline.render(1, &small);
-        let grown = root_of(vec![Arc::new(leaf("a")), Arc::new(leaf("longer line"))]);
-        let out = pipeline.render(2, &grown);
-        assert_eq!(out, render_to_text(&layout(&grown)));
-        assert!(!pipeline.stats().partial, "resize cannot patch in place");
-    }
-
-    #[test]
-    fn invalidate_forgets_retained_frames() {
-        let frame = root_of(vec![Arc::new(leaf("x"))]);
-        let mut pipeline = FramePipeline::new();
-        pipeline.render(1, &frame);
-        pipeline.invalidate();
-        let out = pipeline.render(1, &frame);
-        assert_eq!(out, render_to_text(&layout(&frame)));
-        assert!(!pipeline.stats().partial, "post-invalidate frame is full");
+        // A hit-test before the first paint lays the tree out; the paint
+        // of the same generation reuses it.
+        assert_eq!(pipeline.layout(3, &frame), &layout(&frame));
+        let out = pipeline.render(3, &frame);
+        assert_eq!(out, "x\ny\n");
+        assert_eq!(pipeline.stats().layouts, 1);
+        // A new generation lays out again, even for an equal tree.
+        pipeline.layout(4, &frame);
+        assert_eq!(pipeline.stats().layouts, 2);
     }
 }

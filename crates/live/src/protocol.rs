@@ -70,7 +70,7 @@ pub enum SessionCommand {
     Redo,
     /// Ask for the current source text.
     Source,
-    /// Ask for frame-pipeline reuse statistics (settles and renders
+    /// Ask for frame-pipeline statistics (settles and renders
     /// first, so the counters describe the current frame).
     Stats,
     /// Ask for a [`MetricsSnapshot`] of every metric the session (and
@@ -488,30 +488,21 @@ pub fn format_frame_stats(stats: &FrameStats) -> String {
     format!(
         "frame pipeline (last frame):\n\
          \x20 eval reuse:   {:>5.1}%  ({} hits, {} misses)\n\
-         \x20 layout reuse: {:>5.1}%  ({} measured, {} reused)\n\
-         \x20 repaint:      {:>5.1}%  ({} of {} cells, {})\n\
+         \x20 frame:        {} boxes laid out, {} cells painted\n\
          \x20 stage time:   eval {} µs (compile {} + run {}), layout {} µs, paint {} µs\n\
-         \x20 lifetime:     {} frames rendered, {} view-memo hits, {} vm cache hits",
+         \x20 lifetime:     {} frames rendered, {} layouts, {} view-memo hits, {} vm cache hits",
         stats.eval_reuse() * 100.0,
         stats.eval_hits,
         stats.eval_misses,
-        stats.layout_reuse() * 100.0,
         stats.nodes_measured,
-        stats.nodes_reused,
-        stats.repaint_fraction() * 100.0,
-        stats.cells_repainted,
         stats.cells_total,
-        if stats.partial {
-            "partial"
-        } else {
-            "full frame"
-        },
         stats.eval_us,
         stats.eval_compile_us,
         stats.eval_exec_us,
         stats.layout_us,
         stats.paint_us,
         stats.frames,
+        stats.layouts,
         stats.view_hits,
         stats.vm_cache_hits,
     )
@@ -730,8 +721,7 @@ pub fn parse_commands(text: &str) -> Result<Vec<SessionCommand>, ProtocolParseEr
             "tap" => SessionCommand::TapPath(parse_usize_path(args).map_err(&err)?),
             "back" => SessionCommand::Back,
             "editbox" => {
-                let (path_part, text) = args
-                    .split_once(" -- ")
+                let (path_part, text) = split_payload(line)
                     .ok_or_else(|| err("editbox needs ` -- ` separator".to_string()))?;
                 SessionCommand::EditBox {
                     path: parse_usize_path(path_part).map_err(&err)?,
@@ -800,8 +790,7 @@ pub fn parse_commands(text: &str) -> Result<Vec<SessionCommand>, ProtocolParseEr
             "poke" => {
                 // `poke <path...> <leaf> -- <value>`: the last number
                 // before the separator is the leaf ordinal.
-                let (head, value) = args
-                    .split_once(" -- ")
+                let (head, value) = split_payload(line)
                     .ok_or_else(|| err("poke needs ` -- ` separator".to_string()))?;
                 let mut nums = parse_usize_path(head).map_err(&err)?;
                 let leaf = nums
@@ -822,8 +811,7 @@ pub fn parse_commands(text: &str) -> Result<Vec<SessionCommand>, ProtocolParseEr
             "attredit" => {
                 // `attredit <path...> <attr> -- <value>`: the last token
                 // before the separator is the attribute name.
-                let (head, value) = args
-                    .split_once(" -- ")
+                let (head, value) = split_payload(line)
                     .ok_or_else(|| err("attredit needs ` -- ` separator".to_string()))?;
                 let mut tokens: Vec<&str> = head.split_whitespace().collect();
                 let attr = tokens
@@ -877,7 +865,20 @@ fn parse_usize_path(args: &str) -> Result<Vec<usize>, String> {
 }
 
 fn escape(text: &str) -> String {
-    text.replace('\\', "\\\\").replace('\n', "\\n")
+    text.replace('\\', "\\\\")
+        .replace('\n', "\\n")
+        .replace('\r', "\\r")
+}
+
+/// Split the raw line of a ` -- ` command into the arguments between
+/// the keyword and the separator (trimmed) and the escaped payload after
+/// it. The payload is taken verbatim — its spaces are data, and an empty
+/// payload is valid — except for the `\r` of a CRLF line ending, which
+/// [`escape`] never emits.
+fn split_payload(line: &str) -> Option<(&str, &str)> {
+    let (head, payload) = line.split_once(" -- ")?;
+    let args = head.trim().split_once(' ').map_or("", |(_, a)| a.trim());
+    Some((args, payload.strip_suffix('\r').unwrap_or(payload)))
 }
 
 fn unescape(text: &str) -> String {
@@ -887,6 +888,7 @@ fn unescape(text: &str) -> String {
         if c == '\\' {
             match chars.next() {
                 Some('n') => out.push('\n'),
+                Some('r') => out.push('\r'),
                 Some('\\') => out.push('\\'),
                 Some(other) => {
                     out.push('\\');
@@ -1186,6 +1188,19 @@ page start() {
             SessionCommand::EditBox {
                 path: vec![2, 1],
                 text: "two\nlines \\ with a backslash".to_string(),
+            },
+            // Payload whitespace is data: empty, padded, and CR text.
+            SessionCommand::EditBox {
+                path: vec![0],
+                text: String::new(),
+            },
+            SessionCommand::EditBox {
+                path: vec![],
+                text: "  padded\t ".to_string(),
+            },
+            SessionCommand::EditBox {
+                path: vec![3],
+                text: "carriage\rreturn\r".to_string(),
             },
             SessionCommand::EditSource("page start() {\n    render { }\n}\n".to_string()),
             SessionCommand::Undo,

@@ -35,7 +35,7 @@ use alive_core::system::{ActionError, StepKind, System, SystemConfig};
 use alive_core::{compile, Fault, IncrementalCompiler, Program};
 use alive_obs::{Clock, MetricsSnapshot, MonotonicClock, Registry};
 use alive_syntax::{apply_edits, Diagnostics, EditError, TextEdit};
-use alive_ui::Point;
+use alive_ui::{hit_test_tappable, LayoutTree, Point};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -198,8 +198,8 @@ pub struct LiveSession {
     redo_stack: Vec<String>,
     /// Contained faults, newest last, bounded.
     faults: FaultLog,
-    /// Layout + paint reuse across frames (always on: byte-identical to
-    /// from-scratch rendering by construction).
+    /// The current display generation's layout and view string, shared
+    /// by painting and hit-testing.
     pipeline: FramePipeline,
     /// Observability handles, when a registry was attached at
     /// construction ([`LiveSession::with_shared_program_observed`]).
@@ -390,9 +390,9 @@ impl LiveSession {
         self.memo.as_ref().map(MemoCache::stats)
     }
 
-    /// Frame-pipeline statistics: reuse counters for every layer of the
-    /// last [`LiveSession::live_view`] frame (evaluation, layout, paint,
-    /// view memo) plus per-stage timings.
+    /// Frame-pipeline statistics: evaluation reuse and the layout and
+    /// paint work of the last [`LiveSession::live_view`] frame, per-stage
+    /// timings, and lifetime frame, layout and view-memo counts.
     pub fn frame_stats(&self) -> FrameStats {
         let mut stats = self.pipeline.stats();
         stats.eval_us = self.last_eval_us;
@@ -987,9 +987,8 @@ impl LiveSession {
         self.refresh();
         let generation = self.system.display_generation();
         match self.system.display().content() {
-            // The pipeline reuses everything the display left unchanged:
-            // an identical generation returns the memoized string; a new
-            // tree pays incremental layout + damage-driven repaint only.
+            // An unchanged generation returns the memoized string; a new
+            // one is laid out (unless a tap already did) and painted.
             Some(root) => {
                 let frames_before = self.pipeline.stats().frames;
                 let text = self.pipeline.render(generation, root);
@@ -1012,6 +1011,19 @@ impl LiveSession {
         }
     }
 
+    /// The layout of the current display (refreshing first), or `None`
+    /// if the session has no renderable view. The frame pipeline lays
+    /// each display generation out once: this is the same tree
+    /// [`LiveSession::live_view`] paints and [`LiveSession::tap_at`]
+    /// hit-tests, so a caller that draws or hit-tests the current frame
+    /// itself does not lay it out again.
+    pub fn layout_tree(&mut self) -> Option<&LayoutTree> {
+        self.refresh();
+        let generation = self.system.display_generation();
+        let root = self.system.display().content()?;
+        Some(self.pipeline.layout(generation, root))
+    }
+
     /// Tap the screen at a point (hit-tested), then refresh.
     /// Returns whether a tappable box was hit. A faulting tap handler
     /// does not error: its event is dropped, the model kept, the fault
@@ -1021,11 +1033,15 @@ impl LiveSession {
     ///
     /// [`SessionError::Action`] if the tap cannot be delivered.
     pub fn tap_at(&mut self, x: i32, y: i32) -> Result<bool, SessionError> {
+        let tree = self
+            .layout_tree()
+            .ok_or(SessionError::Action(ActionError::DisplayInvalid))?;
+        let Some(path) = hit_test_tappable(tree, Point::new(x, y)) else {
+            return Ok(false);
+        };
+        self.system.tap(&path).map_err(SessionError::Action)?;
         self.refresh();
-        let hit =
-            alive_ui::tap_at(&mut self.system, Point::new(x, y)).map_err(SessionError::Action)?;
-        self.refresh();
-        Ok(hit)
+        Ok(true)
     }
 
     /// Tap a box by its path in the box tree, then refresh. A faulting
@@ -1324,7 +1340,7 @@ page start() {
     }
 
     #[test]
-    fn frame_stats_show_cross_frame_reuse() {
+    fn frame_stats_show_view_memo_and_one_layout_per_generation() {
         let src = r#"
 global sel : number = 0
 global items : list (string, number) = []
@@ -1343,28 +1359,63 @@ page start() {
         // A repeated read of the unchanged display is a view-memo hit.
         let again = s.live_view();
         assert_eq!(before, again);
-        assert!(s.frame_stats().view_hits >= 1, "{:?}", s.frame_stats());
+        let stats = s.frame_stats();
+        assert_eq!((stats.frames, stats.view_hits, stats.layouts), (1, 1, 1));
 
-        // Steady state: a tap changes one header row; the listing rows
-        // are memo splices, pointer-identical across frames, so layout
-        // skips them and paint touches only the damaged cells.
+        // A tap changes one header row: evaluation reuses the listing
+        // rows through the memo, and the new display is laid out and
+        // painted once, in full.
         s.tap_path(&[1]).expect("tap");
         let view = s.live_view();
         assert!(view.starts_with("selected 1"), "{view}");
         let stats = s.frame_stats();
-        assert!(
-            stats.nodes_reused > stats.nodes_measured,
-            "most of the tree is reused: {stats:?}"
-        );
-        assert!(stats.partial, "steady-state frames repaint partially");
-        assert!(
-            stats.cells_repainted < stats.cells_total / 2,
-            "damage covers a fraction of the screen: {stats:?}"
-        );
+        assert_eq!((stats.frames, stats.layouts), (2, 2), "{stats:?}");
+        assert_eq!(stats.nodes_measured, 14, "root, header and 12 rows");
+        assert_eq!(stats.nodes_reused, 0);
+        assert_eq!(stats.cells_repainted, stats.cells_total);
         assert!(
             stats.eval_hits > 0,
-            "memo splices feed the reuse: {stats:?}"
+            "memo splices skip evaluation: {stats:?}"
         );
+    }
+
+    /// The hit-test of a tap reuses the layout of the frame it lands
+    /// on: reading a frame, tapping it, and reading the next frame lays
+    /// out two displays, not three.
+    #[test]
+    fn tap_at_hit_tests_the_painted_layout() {
+        let mut s = LiveSession::new(APP).expect("starts");
+        assert_eq!(s.live_view(), "count is 1\n");
+        assert!(s.tap_at(0, 0).expect("tap is delivered"));
+        assert_eq!(s.live_view(), "count is 11\n");
+        let stats = s.frame_stats();
+        assert_eq!((stats.frames, stats.layouts), (2, 2), "{stats:?}");
+    }
+
+    /// A tap on a display no frame was read for lays it out once, and
+    /// the frame read of that same display paints that layout.
+    #[test]
+    fn frame_after_a_tap_reuses_its_layout() {
+        let mut s = LiveSession::new(APP).expect("starts");
+        // Off the button: nothing is hit, the display stays the same.
+        assert!(!s.tap_at(0, 5).expect("tap is delivered"));
+        assert!(!s.tap_at(-3, 0).expect("tap is delivered"));
+        assert_eq!(s.frame_stats().layouts, 1);
+        assert_eq!(s.live_view(), "count is 1\n");
+        let stats = s.frame_stats();
+        assert_eq!((stats.frames, stats.layouts), (1, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn tap_at_without_a_view_is_an_action_error() {
+        let mut s = LiveSession::new("page start() { render { post list.nth([1], 5); } }")
+            .expect("starts degraded");
+        assert!(s.display_tree().is_none());
+        assert!(s.layout_tree().is_none());
+        assert!(matches!(
+            s.tap_at(0, 0),
+            Err(SessionError::Action(ActionError::DisplayInvalid))
+        ));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! renderer. Boxes stack vertically by default and horizontally when
 //! `box.horizontal := true` — "nested boxes, akin to TeX and HTML" (§1).
 //!
-//! Layout is two-pass: a bottom-up *measure* pass computes content
-//! sizes, then a top-down *place* pass assigns rectangles. Attributes
+//! Layout is two-pass over one owned tree: a bottom-up *measure* pass
+//! builds every [`LayoutBox`] with its size resolved, then a top-down
+//! *place* pass moves each box and text block to its origin in place. Attributes
 //! used: `margin`, `padding`, `border`, `width`, `height`, `font_size`,
 //! `horizontal`, `background`, `foreground`.
 
@@ -16,8 +17,6 @@ use alive_core::boxtree::{BoxItem, BoxNode};
 use alive_core::expr::BoxSourceId;
 use alive_core::value::Color;
 use alive_core::{Attr, Value};
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Visual style resolved from a box's attributes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,30 +64,43 @@ impl Default for Style {
 }
 
 impl Style {
-    /// Resolve a style from a box's attribute items (rightmost wins,
-    /// which [`BoxNode::attr`] already implements).
+    /// Resolve a style from a box's attribute items in one forward pass:
+    /// a later setting of an attribute overwrites an earlier one, so the
+    /// rightmost wins, as in [`BoxNode::attr`].
     pub fn from_box(node: &BoxNode) -> Style {
-        let num = |attr: Attr| match node.attr(attr) {
-            Some(Value::Number(n)) => Some(n.round().max(0.0) as i32),
+        let num = |v: &Value| match v {
+            Value::Number(n) => Some(n.round().max(0.0) as i32),
             _ => None,
         };
-        let color = |attr: Attr| match node.attr(attr) {
-            Some(Value::Color(c)) => Some(*c),
+        let color = |v: &Value| match v {
+            Value::Color(c) => Some(*c),
             _ => None,
         };
-        Style {
-            margin: num(Attr::Margin).unwrap_or(0),
-            padding: num(Attr::Padding).unwrap_or(0),
-            border: num(Attr::Border).unwrap_or(0).min(1),
-            font_size: num(Attr::FontSize).unwrap_or(1).max(1),
-            horizontal: matches!(node.attr(Attr::Horizontal), Some(Value::Bool(true))),
-            background: color(Attr::Background),
-            foreground: color(Attr::Foreground),
-            width: num(Attr::Width),
-            height: num(Attr::Height),
-            tappable: node.attr(Attr::OnTap).is_some(),
-            editable: node.attr(Attr::OnEdit).is_some(),
+        let mut style = Style::default();
+        let (mut margin, mut padding, mut border, mut font_size) = (None, None, None, None);
+        for item in &node.items {
+            let BoxItem::Attr(attr, v, _) = item else {
+                continue;
+            };
+            match attr {
+                Attr::Margin => margin = num(v),
+                Attr::Padding => padding = num(v),
+                Attr::Border => border = num(v),
+                Attr::FontSize => font_size = num(v),
+                Attr::Width => style.width = num(v),
+                Attr::Height => style.height = num(v),
+                Attr::Horizontal => style.horizontal = matches!(v, Value::Bool(true)),
+                Attr::Background => style.background = color(v),
+                Attr::Foreground => style.foreground = color(v),
+                Attr::OnTap => style.tappable = true,
+                Attr::OnEdit => style.editable = true,
+            }
         }
+        style.margin = margin.unwrap_or(0);
+        style.padding = padding.unwrap_or(0);
+        style.border = border.unwrap_or(0).min(1);
+        style.font_size = font_size.unwrap_or(1).max(1);
+        style
     }
 }
 
@@ -186,188 +198,39 @@ impl LayoutTree {
 /// Lay out a box tree. The root box is placed at the origin (its margin
 /// included).
 pub fn layout(root: &BoxNode) -> LayoutTree {
-    let measured = measure(root);
-    let style = Style::from_box(root);
-    let root_box = place(
-        root,
-        &measured,
-        Point::new(style.margin, style.margin),
-        Vec::new(),
-    );
+    let mut root_box = measure(root, &mut Vec::new());
+    let margin = root_box.style.margin;
+    place(&mut root_box, Point::new(margin, margin));
     LayoutTree { root: root_box }
 }
 
-/// Per-frame counters from an incremental layout pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LayoutStats {
-    /// Boxes whose measure pass actually ran this frame.
-    pub nodes_measured: u64,
-    /// Boxes skipped because their subtree was pointer-identical to a
-    /// previously measured one (memo splices keep subtrees shared).
-    pub nodes_reused: u64,
-}
-
-/// A measured subtree held by the cache, pinned so its pointer key
-/// stays valid.
-struct CacheEntry {
-    /// Keeps the box subtree allocation alive while the entry exists:
-    /// the cache is keyed by `Arc::as_ptr`, and a recycled allocation at
-    /// the same address would otherwise alias a stale measurement.
-    _keeper: Arc<BoxNode>,
-    measured: Arc<Measured>,
-}
-
-/// Pointer-keyed cache for the bottom-up measure pass.
-///
-/// Box trees are immutable once built, and [`measure`] depends only on
-/// the subtree's own content (no inherited inputs affect sizing), so a
-/// subtree that is pointer-identical to one measured last frame must
-/// measure identically — the `Arc` pointer alone is a sound cache key as
-/// long as the allocation cannot be recycled, which each entry's keeper
-/// `Arc` guarantees. Eviction is two-generation, like the render memo
-/// cache: entries not reused for one whole frame are dropped.
-#[derive(Default)]
-pub struct LayoutCache {
-    current: HashMap<usize, CacheEntry>,
-    previous: HashMap<usize, CacheEntry>,
-    stats: LayoutStats,
-}
-
-impl std::fmt::Debug for LayoutCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LayoutCache")
-            .field("current", &self.current.len())
-            .field("previous", &self.previous.len())
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
-impl LayoutCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of cached subtree measurements (both generations).
-    pub fn len(&self) -> usize {
-        self.current.len() + self.previous.len()
-    }
-
-    /// Whether the cache holds no measurements.
-    pub fn is_empty(&self) -> bool {
-        self.current.is_empty() && self.previous.is_empty()
-    }
-
-    /// Drop all cached measurements (e.g. after a code update).
-    pub fn clear(&mut self) {
-        self.current.clear();
-        self.previous.clear();
-    }
-
-    fn begin_frame(&mut self) {
-        // Anything not reused during the previous frame dies here.
-        self.previous = std::mem::take(&mut self.current);
-        self.stats = LayoutStats::default();
-    }
-
-    fn lookup(&mut self, key: usize) -> Option<Arc<Measured>> {
-        if let Some(entry) = self.current.get(&key) {
-            self.stats.nodes_reused += entry.measured.boxes;
-            return Some(Arc::clone(&entry.measured));
-        }
-        if let Some(entry) = self.previous.remove(&key) {
-            self.stats.nodes_reused += entry.measured.boxes;
-            let measured = Arc::clone(&entry.measured);
-            self.current.insert(key, entry);
-            return Some(measured);
-        }
-        None
-    }
-}
-
-/// Lay out a box tree, reusing measurements of subtrees that are
-/// pointer-identical to ones measured on an earlier call.
-///
-/// Output is byte-identical to [`layout`] — only the measure pass is
-/// skipped for shared subtrees; the cheap top-down place pass always
-/// runs in full. Returns the tree plus this frame's reuse counters.
-pub fn layout_incremental(cache: &mut LayoutCache, root: &BoxNode) -> (LayoutTree, LayoutStats) {
-    cache.begin_frame();
-    let measured = measure_items(root, &mut |child| measure_cached(cache, child));
-    cache.stats.nodes_measured += 1; // the root itself
-    let style = Style::from_box(root);
-    let root_box = place(
-        root,
-        &measured,
-        Point::new(style.margin, style.margin),
-        Vec::new(),
-    );
-    (LayoutTree { root: root_box }, cache.stats)
-}
-
-fn measure_cached(cache: &mut LayoutCache, node: &Arc<BoxNode>) -> Arc<Measured> {
-    let key = Arc::as_ptr(node) as usize;
-    if let Some(measured) = cache.lookup(key) {
-        return measured;
-    }
-    let measured = Arc::new(measure_items(node, &mut |child| {
-        measure_cached(cache, child)
-    }));
-    cache.stats.nodes_measured += 1;
-    cache.current.insert(
-        key,
-        CacheEntry {
-            _keeper: Arc::clone(node),
-            measured: Arc::clone(&measured),
-        },
-    );
-    measured
-}
-
-/// Measured sizes for one box subtree.
-struct Measured {
-    /// Size of the border box (without margin).
-    inner: Size,
-    /// Outer size (border box + margin on all sides).
-    outer: Size,
-    /// Boxes in this subtree, including self (for reuse accounting).
-    boxes: u64,
-    items: Vec<MeasuredItem>,
-}
-
-enum MeasuredItem {
-    Text {
-        size: Size,
-        lines: Vec<String>,
-        font_size: i32,
-    },
-    Child(Arc<Measured>),
-}
-
 fn text_lines(value: &Value) -> Vec<String> {
-    value
-        .display_text()
-        .split('\n')
-        .map(str::to_string)
-        .collect()
+    let text = value.display_text();
+    if text.contains('\n') {
+        text.split('\n').map(str::to_string).collect()
+    } else {
+        vec![text]
+    }
 }
 
-fn measure(node: &BoxNode) -> Measured {
-    measure_items(node, &mut |child| Arc::new(measure(child)))
+/// The margin-inclusive size a laid-out box takes in its parent.
+fn outer_size(node: &LayoutBox) -> Size {
+    let m = 2 * node.style.margin;
+    Size::new(node.rect.size.w + m, node.rect.size.h + m)
 }
 
-fn measure_items(
-    node: &BoxNode,
-    measure_child: &mut dyn FnMut(&Arc<BoxNode>) -> Arc<Measured>,
-) -> Measured {
+/// Bottom-up pass: build the laid-out tree with every size resolved and
+/// every origin left at zero for [`place`] to fill in. `path` is the
+/// box's path from the root; it is pushed and popped around each child.
+fn measure(node: &BoxNode, path: &mut Vec<usize>) -> LayoutBox {
     let style = Style::from_box(node);
-    let mut items = Vec::new();
-    let mut boxes = 1u64;
+    let mut items = Vec::with_capacity(node.items.len());
+    let mut children = 0usize;
     let mut main = 0i32; // along the stacking axis
     let mut cross = 0i32;
     for item in &node.items {
-        let size = match item {
+        let (laid, size) = match item {
+            BoxItem::Attr(..) => continue,
             BoxItem::Leaf(v, _) => {
                 let lines = text_lines(v);
                 let w = lines
@@ -378,21 +241,24 @@ fn measure_items(
                     * style.font_size;
                 let h = lines.len() as i32 * style.font_size;
                 let size = Size::new(w, h);
-                items.push(MeasuredItem::Text {
-                    size,
+                let text = LayoutItem::Text {
+                    rect: Rect {
+                        origin: Point::default(),
+                        size,
+                    },
                     lines,
                     font_size: style.font_size,
-                });
-                size
+                };
+                (text, size)
             }
             BoxItem::Child(child) => {
-                let measured = measure_child(child);
-                let size = measured.outer;
-                boxes += measured.boxes;
-                items.push(MeasuredItem::Child(measured));
-                size
+                path.push(children);
+                children += 1;
+                let laid = measure(child, path);
+                path.pop();
+                let size = outer_size(&laid);
+                (LayoutItem::Child(laid), size)
             }
-            BoxItem::Attr(..) => continue,
         };
         if style.horizontal {
             main += size.w;
@@ -401,6 +267,7 @@ fn measure_items(
             main += size.h;
             cross = cross.max(size.w);
         }
+        items.push(laid);
     }
     let content = if style.horizontal {
         Size::new(main, cross)
@@ -408,89 +275,49 @@ fn measure_items(
         Size::new(cross, main)
     };
     let chrome = 2 * (style.padding + style.border);
-    let mut inner = Size::new(content.w + chrome, content.h + chrome);
+    let mut size = Size::new(content.w + chrome, content.h + chrome);
     if let Some(w) = style.width {
-        inner.w = w;
+        size.w = w;
     }
     if let Some(h) = style.height {
-        inner.h = h;
+        size.h = h;
     }
-    let outer = Size::new(inner.w + 2 * style.margin, inner.h + 2 * style.margin);
-    Measured {
-        inner,
-        outer,
-        boxes,
+    LayoutBox {
+        path: path.clone(),
+        source: node.source,
+        rect: Rect {
+            origin: Point::default(),
+            size,
+        },
+        style,
         items,
     }
 }
 
-fn place(node: &BoxNode, measured: &Measured, origin: Point, path: Vec<usize>) -> LayoutBox {
-    let style = Style::from_box(node);
-    let rect = Rect {
-        origin,
-        size: measured.inner,
-    };
-    let content_origin = Point::new(
-        origin.x + style.padding + style.border,
-        origin.y + style.padding + style.border,
-    );
-    let mut cursor = content_origin;
-    let mut items = Vec::new();
-    let mut child_index = 0usize;
-    let mut measured_items = measured.items.iter();
-    for item in &node.items {
-        match item {
-            BoxItem::Attr(..) => continue,
-            BoxItem::Leaf(..) => {
-                let Some(MeasuredItem::Text {
-                    size,
-                    lines,
-                    font_size,
-                }) = measured_items.next()
-                else {
-                    unreachable!("measure and place see the same items");
-                };
-                let text_rect = Rect {
-                    origin: cursor,
-                    size: *size,
-                };
-                items.push(LayoutItem::Text {
-                    rect: text_rect,
-                    lines: lines.clone(),
-                    font_size: *font_size,
-                });
-                if style.horizontal {
-                    cursor.x += size.w;
-                } else {
-                    cursor.y += size.h;
-                }
+/// Top-down pass: move a measured box to `origin` and stack its items
+/// from its content corner.
+fn place(node: &mut LayoutBox, origin: Point) {
+    node.rect.origin = origin;
+    let inset = node.style.padding + node.style.border;
+    let horizontal = node.style.horizontal;
+    let mut cursor = Point::new(origin.x + inset, origin.y + inset);
+    for item in &mut node.items {
+        let advance = match item {
+            LayoutItem::Text { rect, .. } => {
+                rect.origin = cursor;
+                rect.size
             }
-            BoxItem::Child(child) => {
-                let Some(MeasuredItem::Child(child_measured)) = measured_items.next() else {
-                    unreachable!("measure and place see the same items");
-                };
-                let child_style = Style::from_box(child);
-                let child_origin =
-                    Point::new(cursor.x + child_style.margin, cursor.y + child_style.margin);
-                let mut child_path = path.clone();
-                child_path.push(child_index);
-                child_index += 1;
-                let laid = place(child, child_measured, child_origin, child_path);
-                if style.horizontal {
-                    cursor.x += child_measured.outer.w;
-                } else {
-                    cursor.y += child_measured.outer.h;
-                }
-                items.push(LayoutItem::Child(laid));
+            LayoutItem::Child(child) => {
+                let margin = child.style.margin;
+                place(child, Point::new(cursor.x + margin, cursor.y + margin));
+                outer_size(child)
             }
+        };
+        if horizontal {
+            cursor.x += advance.w;
+        } else {
+            cursor.y += advance.h;
         }
-    }
-    LayoutBox {
-        path,
-        source: node.source,
-        rect,
-        style,
-        items,
     }
 }
 
@@ -613,6 +440,28 @@ mod tests {
     }
 
     #[test]
+    fn style_rightmost_setting_wins() {
+        let mut b = leaf_box("x");
+        b.items
+            .push(BoxItem::attr(Attr::Margin, Value::Number(3.0)));
+        b.items
+            .push(BoxItem::attr(Attr::Border, Value::Number(5.0)));
+        // A later non-number setting clears the earlier number, as
+        // `BoxNode::attr` would report it.
+        b.items
+            .push(BoxItem::attr(Attr::Margin, Value::str("wide")));
+        b.items
+            .push(BoxItem::attr(Attr::Horizontal, Value::Bool(true)));
+        b.items
+            .push(BoxItem::attr(Attr::Horizontal, Value::Bool(false)));
+        let style = Style::from_box(&b);
+        assert_eq!(style.margin, 0);
+        assert_eq!(style.border, 1, "border clamps to one cell");
+        assert!(!style.horizontal);
+        assert_eq!(style.font_size, 1);
+    }
+
+    #[test]
     fn paths_match_box_tree_indices() {
         let mut inner = BoxNode::new(None);
         inner.push_child(leaf_box("deep"));
@@ -644,69 +493,5 @@ mod tests {
         assert_eq!(top.origin.y, 0);
         assert_eq!(mid.rect.origin.y, 1);
         assert_eq!(bottom.origin.y, 2);
-    }
-
-    #[test]
-    fn incremental_layout_matches_from_scratch() {
-        let mut root = BoxNode::new(None);
-        root.push_child(with_attr(
-            leaf_box("aaaa"),
-            Attr::Margin,
-            Value::Number(1.0),
-        ));
-        let mut inner = BoxNode::new(None);
-        inner.push_child(leaf_box("deep"));
-        root.push_child(inner);
-        let mut cache = LayoutCache::new();
-        let (tree, stats) = layout_incremental(&mut cache, &root);
-        assert_eq!(tree, layout(&root));
-        // Cold cache: everything measured, nothing reused.
-        assert_eq!(stats.nodes_measured, 4);
-        assert_eq!(stats.nodes_reused, 0);
-    }
-
-    #[test]
-    fn shared_subtrees_skip_the_measure_pass() {
-        let mut inner = BoxNode::new(None);
-        inner.push_child(leaf_box("deep"));
-        let mut root = BoxNode::new(None);
-        root.push_child(leaf_box("a"));
-        root.push_child(inner);
-
-        let mut cache = LayoutCache::new();
-        let (first, _) = layout_incremental(&mut cache, &root);
-
-        // Next frame: same children, shared by pointer (as the memo
-        // cache produces), inside a freshly built root.
-        let mut next = BoxNode::new(None);
-        next.items.extend(root.items.iter().cloned());
-        let (second, stats) = layout_incremental(&mut cache, &next);
-        assert_eq!(first, second);
-        assert_eq!(stats.nodes_measured, 1, "only the new root measures");
-        assert_eq!(stats.nodes_reused, 3, "both subtrees splice from cache");
-        assert_eq!(second, layout(&next), "incremental == from-scratch");
-    }
-
-    #[test]
-    fn layout_cache_evicts_after_one_idle_frame() {
-        let mut root = BoxNode::new(None);
-        root.push_child(leaf_box("x"));
-        let mut cache = LayoutCache::new();
-        layout_incremental(&mut cache, &root);
-        assert_eq!(cache.len(), 1);
-
-        // A frame that shares nothing: the old entry survives one
-        // rotation (previous generation), then dies.
-        let mut other = BoxNode::new(None);
-        other.push_child(leaf_box("y"));
-        layout_incremental(&mut cache, &other);
-        assert_eq!(cache.len(), 2);
-        let mut third = BoxNode::new(None);
-        third.push_child(leaf_box("z"));
-        layout_incremental(&mut cache, &third);
-        assert_eq!(cache.len(), 2, "the x entry was evicted");
-
-        cache.clear();
-        assert!(cache.is_empty());
     }
 }

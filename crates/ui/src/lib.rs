@@ -29,128 +29,16 @@
 
 #![warn(missing_docs)]
 
-pub mod diff;
 pub mod geom;
 pub mod hittest;
 pub mod layout;
 pub mod render_ansi;
 pub mod render_text;
 
-pub use diff::{damage_ratio, damage_rects, diff_displays, BoxChange};
 pub use geom::{Point, Rect, Size};
 pub use hittest::{hit_stack, hit_test, hit_test_editable, hit_test_leaf, hit_test_tappable};
-pub use layout::{
-    layout, layout_incremental, LayoutBox, LayoutCache, LayoutItem, LayoutStats, LayoutTree, Style,
-};
+pub use layout::{layout, LayoutBox, LayoutItem, LayoutTree, Style};
 pub use render_ansi::{render_to_ansi, strip_ansi, AnsiCanvas, AnsiFramebuffer};
 pub use render_text::{
-    render_to_text, render_with_options, render_zoomed_out, Canvas, RenderOptions, TextFrame,
+    render_to_text, render_with_options, render_zoomed_out, Canvas, RenderOptions,
 };
-
-use alive_core::system::{ActionError, System};
-
-/// Tap the screen at a point: hit-test the current display and deliver
-/// the tap to the deepest box with an `ontap` handler (doing nothing,
-/// like a real screen, if no handler is under the finger).
-///
-/// # Errors
-///
-/// [`ActionError::DisplayInvalid`] if the display is stale.
-pub fn tap_at(system: &mut System, point: Point) -> Result<bool, ActionError> {
-    let Some(root) = system.display().content() else {
-        return Err(ActionError::DisplayInvalid);
-    };
-    let tree = layout(root);
-    match hit_test_tappable(&tree, point) {
-        Some(path) => {
-            system.tap(&path)?;
-            Ok(true)
-        }
-        None => Ok(false),
-    }
-}
-
-/// Edit the box at a point: deliver `text` to the deepest box with an
-/// `onedit` handler under the point. Returns whether an editable box
-/// was found.
-///
-/// # Errors
-///
-/// [`ActionError::DisplayInvalid`] if the display is stale.
-pub fn edit_at(system: &mut System, point: Point, text: &str) -> Result<bool, ActionError> {
-    let Some(root) = system.display().content() else {
-        return Err(ActionError::DisplayInvalid);
-    };
-    let tree = layout(root);
-    match hit_test_editable(&tree, point) {
-        Some(path) => {
-            system.edit_box(&path, text)?;
-            Ok(true)
-        }
-        None => Ok(false),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use alive_core::compile;
-    use alive_core::Value;
-
-    #[test]
-    fn tap_at_drives_the_system() {
-        let mut system = System::new(
-            compile(
-                "global n : number = 0
-                 page start() {
-                     render {
-                         boxed { post \"inert\"; }
-                         boxed {
-                             post \"button\";
-                             on tap { n := n + 1; }
-                         }
-                     }
-                 }",
-            )
-            .expect("compiles"),
-        );
-        system.run_to_stable().expect("starts");
-        // Row 0 is the inert box: tap falls through.
-        assert_eq!(tap_at(&mut system, Point::new(0, 0)), Ok(false));
-        // Row 1 is the button.
-        assert_eq!(tap_at(&mut system, Point::new(0, 1)), Ok(true));
-        system.run_to_stable().expect("handles tap");
-        assert_eq!(system.store().get("n"), Some(&Value::Number(1.0)));
-    }
-
-    #[test]
-    fn edit_at_drives_onedit() {
-        let mut system = System::new(
-            compile(
-                "global term : string = \"30\"
-                 page start() {
-                     render {
-                         boxed {
-                             post term;
-                             on edited(text: string) { term := text; }
-                         }
-                     }
-                 }",
-            )
-            .expect("compiles"),
-        );
-        system.run_to_stable().expect("starts");
-        assert_eq!(edit_at(&mut system, Point::new(0, 0), "15"), Ok(true));
-        system.run_to_stable().expect("handles edit");
-        assert_eq!(system.store().get("term"), Some(&Value::str("15")));
-    }
-
-    #[test]
-    fn tap_at_requires_valid_display() {
-        let mut system = System::new(compile("page start() { render { } }").expect("compiles"));
-        assert_eq!(
-            tap_at(&mut system, Point::new(0, 0)),
-            Err(ActionError::DisplayInvalid)
-        );
-    }
-}

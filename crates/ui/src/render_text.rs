@@ -7,7 +7,7 @@
 //! tests can assert on it, and human-readable, so the examples can show
 //! the mortgage calculator actually rendering.
 
-use crate::geom::{Point, Rect};
+use crate::geom::Rect;
 use crate::layout::{LayoutBox, LayoutItem, LayoutTree};
 
 /// Rendering options.
@@ -94,173 +94,6 @@ impl Canvas {
 /// Render a layout tree to text with default options.
 pub fn render_to_text(tree: &LayoutTree) -> String {
     render_with_options(tree, RenderOptions::default())
-}
-
-/// A retained character frame for damage-driven repaint.
-///
-/// Holds the previous frame's canvas; [`TextFrame::render_damaged`]
-/// repaints only the cells inside the given damage rectangles and
-/// re-serializes, so steady-state frames touch a handful of cells
-/// instead of the whole screen. Output is byte-identical to
-/// [`render_to_text`] as long as the damage covers everything that
-/// changed (which [`crate::diff::damage_rects`] guarantees).
-#[derive(Debug, Clone, Default)]
-pub struct TextFrame {
-    canvas: Option<Canvas>,
-    /// Cell-generation stamps for counting distinct repainted cells.
-    stamp: Vec<u32>,
-    generation: u32,
-    cells_repainted: u64,
-}
-
-impl TextFrame {
-    /// An empty frame; the first render is necessarily full.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Repaint the whole frame from scratch and retain it.
-    pub fn render_full(&mut self, tree: &LayoutTree) -> String {
-        let size = tree.size();
-        let (w, h) = (size.w.max(0) as usize, size.h.max(0) as usize);
-        let mut canvas = Canvas::new(w, h);
-        draw_box(&mut canvas, &tree.root, RenderOptions::default());
-        self.cells_repainted = (w * h) as u64;
-        self.stamp = vec![0; w * h];
-        self.generation = 0;
-        let text = canvas.to_text();
-        self.canvas = Some(canvas);
-        text
-    }
-
-    /// Repaint only the damaged cells of the retained frame.
-    ///
-    /// Returns `None` when there is no retained frame or the layout
-    /// size changed — the caller must fall back to
-    /// [`TextFrame::render_full`]. (A size change moves every cell's
-    /// screen position, so a full repaint is the honest cost.)
-    pub fn render_damaged(&mut self, tree: &LayoutTree, damage: &[Rect]) -> Option<String> {
-        let size = tree.size();
-        let canvas = self.canvas.as_mut()?;
-        if canvas.width() != size.w.max(0) as usize || canvas.height() != size.h.max(0) as usize {
-            return None;
-        }
-        // Clear the damaged cells, counting each distinct cell once.
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            self.stamp.fill(0);
-            self.generation = 1;
-        }
-        let mut repainted = 0u64;
-        for rect in damage {
-            for y in rect.top().max(0)..rect.bottom().min(canvas.height() as i32) {
-                for x in rect.left().max(0)..rect.right().min(canvas.width() as i32) {
-                    canvas.put(x, y, ' ');
-                    let i = y as usize * canvas.width() + x as usize;
-                    if self.stamp[i] != self.generation {
-                        self.stamp[i] = self.generation;
-                        repainted += 1;
-                    }
-                }
-            }
-        }
-        self.cells_repainted = repainted;
-        // Redraw everything that intersects the damage, clipped to it:
-        // cells outside the damage are unchanged by construction, and
-        // cells inside see every overlapping draw in z-order.
-        draw_box_clipped(canvas, &tree.root, RenderOptions::default(), damage);
-        Some(canvas.to_text())
-    }
-
-    /// Distinct cells repainted by the most recent render call.
-    pub fn cells_repainted(&self) -> u64 {
-        self.cells_repainted
-    }
-
-    /// Drop the retained frame (forces the next render to be full).
-    pub fn invalidate(&mut self) {
-        self.canvas = None;
-    }
-}
-
-fn intersects_any(rect: Rect, damage: &[Rect]) -> bool {
-    damage.iter().any(|d| {
-        rect.left() < d.right()
-            && d.left() < rect.right()
-            && rect.top() < d.bottom()
-            && d.top() < rect.bottom()
-    })
-}
-
-fn put_clipped(canvas: &mut Canvas, damage: &[Rect], x: i32, y: i32, ch: char) {
-    if damage.iter().any(|d| d.contains(Point::new(x, y))) {
-        canvas.put(x, y, ch);
-    }
-}
-
-fn draw_box_clipped(
-    canvas: &mut Canvas,
-    node: &LayoutBox,
-    options: RenderOptions,
-    damage: &[Rect],
-) {
-    let rect = node.rect;
-    if intersects_any(rect, damage) {
-        if node.style.background.is_some() {
-            for y in rect.top()..rect.bottom() {
-                for x in rect.left()..rect.right() {
-                    put_clipped(canvas, damage, x, y, options.shade);
-                }
-            }
-        }
-        if (node.style.border > 0 || options.outline_all_boxes) && !rect.size.is_empty() {
-            let (l, t, r, b) = (rect.left(), rect.top(), rect.right() - 1, rect.bottom() - 1);
-            for x in l..=r {
-                put_clipped(canvas, damage, x, t, '-');
-                put_clipped(canvas, damage, x, b, '-');
-            }
-            for y in t..=b {
-                put_clipped(canvas, damage, l, y, '|');
-                put_clipped(canvas, damage, r, y, '|');
-            }
-            put_clipped(canvas, damage, l, t, '+');
-            put_clipped(canvas, damage, r, t, '+');
-            put_clipped(canvas, damage, l, b, '+');
-            put_clipped(canvas, damage, r, b, '+');
-        }
-    }
-    for item in &node.items {
-        match item {
-            LayoutItem::Text {
-                rect,
-                lines,
-                font_size,
-            } => {
-                if !intersects_any(*rect, damage) {
-                    continue;
-                }
-                let scale = (*font_size).max(1);
-                for (row, line) in lines.iter().enumerate() {
-                    for (col, ch) in line.chars().enumerate() {
-                        for dy in 0..scale {
-                            for dx in 0..scale {
-                                put_clipped(
-                                    canvas,
-                                    damage,
-                                    rect.left() + (col as i32) * scale + dx,
-                                    rect.top() + (row as i32) * scale + dy,
-                                    ch,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            // Always recurse: children can overflow a parent whose rect
-            // was clamped by a width/height override.
-            LayoutItem::Child(child) => draw_box_clipped(canvas, child, options, damage),
-        }
-    }
 }
 
 /// Render a layout tree to text.
@@ -504,58 +337,5 @@ mod tests {
         assert_eq!(c.get(0, 0), Some(' '));
         assert_eq!(c.width(), 2);
         assert_eq!(c.height(), 2);
-    }
-
-    #[test]
-    fn text_frame_partial_repaint_is_byte_identical() {
-        use crate::diff::{damage_rects, diff_displays};
-
-        let build = |mid: &str| {
-            let mut root = BoxNode::new(None);
-            root.items.push(BoxItem::leaf(Value::str("header")));
-            let mut inner = BoxNode::new(None);
-            inner
-                .items
-                .push(BoxItem::attr(Attr::Border, Value::Number(1.0)));
-            inner.items.push(BoxItem::leaf(Value::str(mid)));
-            root.push_child(inner);
-            root.items.push(BoxItem::leaf(Value::str("footer")));
-            root
-        };
-        let old = build("aa");
-        let new = build("zz");
-        let old_tree = layout(&old);
-        let new_tree = layout(&new);
-
-        let mut frame = TextFrame::new();
-        let full_first = frame.render_full(&old_tree);
-        assert_eq!(full_first, render_to_text(&old_tree));
-
-        let damage = damage_rects(&old_tree, &new_tree, &diff_displays(&old, &new));
-        let partial = frame
-            .render_damaged(&new_tree, &damage)
-            .expect("same size, retained frame");
-        assert_eq!(partial, render_to_text(&new_tree));
-        // Only the bordered box (4x3) was repainted, not the screen.
-        assert!(
-            frame.cells_repainted() < 6 * 5,
-            "repainted {} cells",
-            frame.cells_repainted()
-        );
-        assert!(frame.cells_repainted() >= 4 * 3);
-    }
-
-    #[test]
-    fn text_frame_refuses_size_changes() {
-        let mut one = BoxNode::new(None);
-        one.items.push(BoxItem::leaf(Value::str("x")));
-        let mut two = BoxNode::new(None);
-        two.items.push(BoxItem::leaf(Value::str("x")));
-        two.items.push(BoxItem::leaf(Value::str("y")));
-        let mut frame = TextFrame::new();
-        frame.render_full(&layout(&one));
-        assert!(frame.render_damaged(&layout(&two), &[]).is_none());
-        frame.invalidate();
-        assert!(frame.render_damaged(&layout(&one), &[]).is_none());
     }
 }
