@@ -9,6 +9,9 @@
 //! Every state-changing interaction goes through the session protocol
 //! ([`SessionCommand`] → [`SessionEffect`]): the repl is one observer
 //! among many a host could attach, with no privileged side channel.
+//! Its command line is the protocol's too: a `:` line the repl does not
+//! handle itself (`:tap 1 0`, `:undo`, ...) is one wire command for
+//! [`parse_commands`], and `:trace` prints the recorded command stream.
 //!
 //! ```text
 //! $ cargo run -p alive-apps --bin alive-repl
@@ -16,41 +19,39 @@
 //! ```
 
 use alive_live::{
-    box_source_at, boxes_for_cursor, format_frame_stats, format_metrics_snapshot, span_for_box,
-    FrameSnapshot, RecordingSession, Registry, SessionCommand, SessionEffect, TxPhase, UndoOutcome,
+    box_source_at, boxes_for_cursor, format_frame_stats, format_metrics_snapshot, parse_commands,
+    span_for_box, FrameSnapshot, RecordingSession, Registry, SessionCommand, SessionEffect,
+    TxPhase, UndoOutcome,
 };
 use alive_ui::{layout, render_to_ansi};
 use std::io::{self, BufRead, Write};
 
 const HELP: &str = "\
-commands:
+repl commands:
   :view                 render the live view (ANSI colors)
   :src                  show the current source with line numbers
-  :tap <i> [<j> ...]    tap the box at a path, e.g. `:tap 1 0`
-  :back                 press the back button
-  :editbox <path...> -- <text>   edit a box's text (fires onedit)
-  :poke <path...> <leaf> -- <value>  ask for a rendered value to become
-                        <value>; answers with ranked candidate repairs
-  :repair <n>           apply candidate <n> of the last :poke offer
-  :attr <path...> <name> -- <expr>   set a box attribute (margin,
-                        background, ...) to an expression, in code
   :edit                 replace the source; end input with a single `.`
-  :undo                 undo the most recent applied edit
-  :redo                 redo the most recently undone edit
   :fig2 [<path...>]     the Figure 2 split view (optionally select a box)
   :where <path...>      box -> code: show the boxed statement for a box
   :find <line>:<col>    code -> boxes: which boxes does this cursor make?
   :stack                show the page stack and model store
-  :stats                frame-pipeline reuse counters (eval/layout/paint)
-  :examples             evaluate the program's `example` probes against
-                        the live model (expect clauses report ok/fail)
-  :metrics              session metrics snapshot (counters + latency quantiles)
   :trace                dump the session trace (replayable)
   :save <file>          snapshot the model (persistent data) to a file
   :restore <file>       restore a model snapshot against the current code
   :demo <name>          load a demo: counter | calculator | mortgage | shopping | life
   :help                 this text
-  :quit                 exit";
+  :quit                 exit
+any other `:` line is one session protocol command in wire syntax, e.g.:
+  :tap <i> [<j> ...]    tap the box at a path, e.g. `:tap 1 0`
+  :tap-at <x> <y>       tap the box under a point of the live view
+  :back                 press the back button
+  :editbox <path...> -- <text>   edit a box's text (fires onedit)
+  :attredit <path...> <name> -- <expr>   set a box attribute (margin,
+                        background, ...) to an expression, in code
+  :poke <path...> <leaf> -- <value>  rank source repairs that make a
+                        rendered value <value>; `:repair <n>` applies one
+  :undo  :redo  :stats  :metrics  :examples  :txopen  :txcommit <tx>
+payloads after ` -- ` escape newlines as `\\n` and backslashes as `\\\\`";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -81,7 +82,7 @@ fn main() {
         print!("alive> ");
         io::stdout().flush().ok();
         let Some(Ok(line)) = lines.next() else { break };
-        let line = line.trim();
+        let line = line.trim_start();
         match dispatch(&mut session, &registry, line, &mut lines) {
             Flow::Continue => {}
             Flow::Quit => break,
@@ -118,27 +119,6 @@ fn dispatch(
                 }
             }
         }
-        ":tap" => match parse_path(rest) {
-            Some(path) => emit(session.apply(SessionCommand::TapPath(path)), "tap failed"),
-            None => println!("usage: :tap <i> [<j> ...]"),
-        },
-        ":back" => emit(session.apply(SessionCommand::Back), "back failed"),
-        ":editbox" => {
-            let Some((path_part, text)) = rest.split_once(" -- ") else {
-                println!("usage: :editbox <path...> -- <text>");
-                return Flow::Continue;
-            };
-            match parse_path(path_part) {
-                Some(path) => emit(
-                    session.apply(SessionCommand::EditBox {
-                        path,
-                        text: text.to_string(),
-                    }),
-                    "edit failed",
-                ),
-                None => println!("bad path"),
-            }
-        }
         ":edit" => {
             println!("enter the new source; end with a single `.` line:");
             let mut src = String::new();
@@ -155,57 +135,6 @@ fn dispatch(
                 "edit failed",
             );
         }
-        ":poke" => {
-            let Some((head, value)) = rest.split_once(" -- ") else {
-                println!("usage: :poke <path...> <leaf> -- <value>");
-                return Flow::Continue;
-            };
-            match parse_path(head) {
-                Some(mut nums) if !nums.is_empty() => {
-                    let leaf = nums.pop().unwrap_or(0);
-                    emit(
-                        session.apply(SessionCommand::ManipulateAt {
-                            path: nums,
-                            leaf,
-                            value: value.to_string(),
-                        }),
-                        "poke failed",
-                    );
-                }
-                _ => println!("usage: :poke <path...> <leaf> -- <value>"),
-            }
-        }
-        ":repair" => match rest.parse::<usize>() {
-            Ok(n) => emit(
-                session.apply(SessionCommand::ApplyRepair(n)),
-                "repair failed",
-            ),
-            Err(_) => println!("usage: :repair <n>"),
-        },
-        ":attr" => {
-            let Some((head, value)) = rest.split_once(" -- ") else {
-                println!("usage: :attr <path...> <name> -- <expr>");
-                return Flow::Continue;
-            };
-            let mut tokens: Vec<&str> = head.split_whitespace().collect();
-            let Some(attr) = tokens.pop() else {
-                println!("usage: :attr <path...> <name> -- <expr>");
-                return Flow::Continue;
-            };
-            match parse_path_allow_empty(&tokens.join(" ")) {
-                Some(path) => emit(
-                    session.apply(SessionCommand::AttrEdit {
-                        path,
-                        attr: attr.to_string(),
-                        value: value.to_string(),
-                    }),
-                    "attr failed",
-                ),
-                None => println!("bad path"),
-            }
-        }
-        ":undo" => emit(session.apply(SessionCommand::Undo), "undo failed"),
-        ":redo" => emit(session.apply(SessionCommand::Redo), "redo failed"),
         ":fig2" => {
             let selection = match parse_path(rest) {
                 Some(path) => alive_live::Selection::Box(path),
@@ -279,9 +208,6 @@ fn dispatch(
                 system.version()
             );
         }
-        ":stats" => emit(session.apply(SessionCommand::Stats), "stats failed"),
-        ":examples" => emit(session.apply(SessionCommand::Examples), "examples failed"),
-        ":metrics" => emit(session.apply(SessionCommand::Metrics), "metrics failed"),
         ":trace" => print!("{}", session.trace().serialize()),
         ":save" => {
             for effect in session.apply(SessionCommand::Snapshot) {
@@ -324,20 +250,25 @@ fn dispatch(
                 Err(e) => println!("demo failed: {e}"),
             }
         }
-        other => println!("unknown command `{other}` — :help"),
+        // Any other `:` line is one protocol command in wire syntax.
+        _ => match line.strip_prefix(':').map(parse_commands) {
+            Some(Ok(commands)) => {
+                let fail_ctx = format!("{} failed", &cmd[1..]);
+                for command in commands {
+                    emit(session.apply(command), &fail_ctx);
+                }
+            }
+            Some(Err(e)) => println!("{} — :help", e.message),
+            None => println!("unknown command `{cmd}` — :help"),
+        },
     }
     Flow::Continue
 }
 
+/// The box path argument of `:fig2` and `:where`.
 fn parse_path(args: &str) -> Option<Vec<usize>> {
-    if args.trim().is_empty() {
-        return None;
-    }
-    parse_path_allow_empty(args)
-}
-
-fn parse_path_allow_empty(args: &str) -> Option<Vec<usize>> {
-    args.split_whitespace().map(|p| p.parse().ok()).collect()
+    let path: Option<Vec<usize>> = args.split_whitespace().map(|p| p.parse().ok()).collect();
+    path.filter(|p| !p.is_empty())
 }
 
 /// Print a frame: fault banner (if degraded), then the ANSI-rendered
@@ -426,7 +357,7 @@ fn emit(effects: Vec<SessionEffect>, fail_ctx: &str) {
                     }
                 }
             }
-            SessionEffect::Source(_) | SessionEffect::Snapshot(_) => {}
+            SessionEffect::Source(text) | SessionEffect::Snapshot(text) => print!("{text}"),
         }
     }
 }

@@ -14,7 +14,7 @@
 //!   closure captures every visible binding, outermost first.
 //! * **Arena frames** — per-frame `Value`s live in one contiguous
 //!   register stack with an epoch reset per transition
-//!   ([`Scratch::begin`]); the render spine (`Vec<BoxNode>`) is pooled
+//!   (`Scratch::begin`); the render spine (`Vec<BoxNode>`) is pooled
 //!   the same way.
 //! * **Budgets** — fuel bounds the work of one transition, and
 //!   [`MAX_CALL_DEPTH`] bounds its native call nesting: a run over

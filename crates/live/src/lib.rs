@@ -85,7 +85,7 @@ pub use alive_obs::{ManualClock, MetricsSnapshot, Registry};
 pub use session::{
     EditOutcome, FleetUpdateOutcome, LiveSession, SessionError, TxError, UndoOutcome,
 };
-pub use trace::{RecordingSession, SessionTrace, TraceEvent};
+pub use trace::{RecordingSession, SessionTrace};
 
 // A live session must be able to live behind a host's per-session
 // mailbox and be picked up by whichever worker thread drains it next.

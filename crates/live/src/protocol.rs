@@ -569,7 +569,7 @@ impl fmt::Display for ProtocolParseError {
 
 impl std::error::Error for ProtocolParseError {}
 
-fn push_block(out: &mut String, keyword: &str, text: &str) {
+pub(crate) fn push_block(out: &mut String, keyword: &str, text: &str) {
     out.push_str(keyword);
     out.push(' ');
     out.push_str(&text.len().to_string());
@@ -579,9 +579,9 @@ fn push_block(out: &mut String, keyword: &str, text: &str) {
 }
 
 impl SessionCommand {
-    /// Serialize to the line-oriented wire format (same family as the
-    /// `#alive-trace v1` format: one line per command, multi-line
-    /// payloads as length-prefixed blocks).
+    /// Serialize to the line-oriented wire format: one line per
+    /// command, multi-line payloads as length-prefixed blocks. Session
+    /// traces ([`crate::SessionTrace`]) are streams of these commands.
     pub fn serialize(&self) -> String {
         let mut out = String::new();
         match self {

@@ -7,47 +7,42 @@
 //! state. Traces turn that property into a tool — reproducible bug
 //! reports, golden-session tests, and the benches' scripted users.
 //!
-//! Traces serialize to a plain-text format (no external dependencies):
+//! A trace is the initial source plus the protocol command stream the
+//! session received, in the protocol's own wire format
+//! ([`SessionCommand::serialize`] / [`parse_commands`]): a comment
+//! header, an `editsource` block carrying the initial program, then one
+//! command after another — refused commands and queries included,
+//! since replaying them is harmless and keeps the stream verbatim.
 //!
 //! ```text
-//! #alive-trace v1
-//! source 123
+//! #alive-trace v2
+//! editsource 123
 //! <123 bytes of source>
 //! tap 1 0
 //! back
 //! editbox 2 0 -- 15
-//! editsource 140
-//! <140 bytes of source>
+//! attredit 0 margin -- 2
+//! undo
 //! ```
 
-use crate::session::{EditOutcome, LiveSession, SessionError};
-use std::fmt;
+use crate::protocol::{
+    parse_commands, push_block, ProtocolParseError, SessionCommand, SessionEffect,
+};
+use crate::session::{LiveSession, SessionError};
 
-/// One recorded step of a session.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// Tap the box at a path.
-    Tap(Vec<usize>),
-    /// Press back.
-    Back,
-    /// Edit the text of the box at a path.
-    EditBox(Vec<usize>, String),
-    /// Replace the whole program source.
-    EditSource(String),
-}
-
-/// A recorded session: initial source plus events in order.
+/// A recorded session: initial source plus the commands it received,
+/// in order.
 ///
 /// ```
-/// use alive_live::{RecordingSession, SessionTrace};
+/// use alive_live::{RecordingSession, SessionCommand, SessionTrace};
 ///
 /// let src = "global n : number = 0
 ///     page start() {
 ///         render { boxed { post n; on tap { n := n + 1; } } }
 ///     }";
 /// let mut recording = RecordingSession::new(src)?;
-/// recording.tap_path(&[0])?;
-/// recording.tap_path(&[0])?;
+/// recording.apply(SessionCommand::TapPath(vec![0]));
+/// recording.apply(SessionCommand::TapPath(vec![0]));
 /// let (_, trace) = recording.into_parts();
 ///
 /// // The serialized trace replays deterministically.
@@ -60,8 +55,8 @@ pub enum TraceEvent {
 pub struct SessionTrace {
     /// The program the session started from.
     pub initial_source: String,
-    /// The recorded events.
-    pub events: Vec<TraceEvent>,
+    /// The recorded commands.
+    pub commands: Vec<SessionCommand>,
 }
 
 impl SessionTrace {
@@ -69,213 +64,72 @@ impl SessionTrace {
     pub fn new(initial_source: impl Into<String>) -> Self {
         SessionTrace {
             initial_source: initial_source.into(),
-            events: Vec::new(),
+            commands: Vec::new(),
         }
     }
 
     /// Replay the trace from scratch, returning the resulting session.
-    /// Rejected source edits during replay are fine (they were rejected
-    /// when recorded, too); failed interactions abort the replay.
+    /// [`LiveSession::apply`] is total, so a command refused when it
+    /// was recorded is refused again, with the same effect on the
+    /// session: none.
     ///
     /// # Errors
     ///
-    /// [`SessionError`] if the initial program does not compile or an
-    /// interaction no longer applies.
+    /// [`SessionError`] if the initial program does not compile.
     pub fn replay(&self) -> Result<LiveSession, SessionError> {
-        let mut session = LiveSession::new(&self.initial_source)?;
-        for event in &self.events {
-            match event {
-                TraceEvent::Tap(path) => session.tap_path(path)?,
-                TraceEvent::Back => session.back()?,
-                TraceEvent::EditBox(path, text) => session.edit_box(path, text)?,
-                TraceEvent::EditSource(src) => {
-                    // Rejection or quarantine during replay is fine: it
-                    // happened identically when recorded.
-                    session.edit_source(src);
-                }
-            }
-        }
-        Ok(session)
+        self.replay_prefix(self.commands.len())
     }
 
-    /// Replay only the first `steps` events — time travel: inspect the
-    /// session as it was after any prefix of the recorded history.
+    /// Replay only the first `steps` commands — time travel: inspect
+    /// the session as it was after any prefix of the recorded history.
     /// `steps` beyond the trace length replays everything.
     ///
     /// # Errors
     ///
     /// See [`SessionTrace::replay`].
     pub fn replay_prefix(&self, steps: usize) -> Result<LiveSession, SessionError> {
-        let prefix = SessionTrace {
-            initial_source: self.initial_source.clone(),
-            events: self.events.iter().take(steps).cloned().collect(),
-        };
-        prefix.replay()
+        let mut session = LiveSession::new(&self.initial_source)?;
+        for command in self.commands.iter().take(steps) {
+            session.apply(command.clone());
+        }
+        Ok(session)
     }
 
-    /// Serialize to the plain-text trace format.
+    /// Serialize to the trace format: the `#alive-trace v2` header, the
+    /// initial source as an `editsource` block, then every command.
     pub fn serialize(&self) -> String {
-        let mut out = String::new();
-        out.push_str("#alive-trace v1\n");
-        out.push_str(&format!("source {}\n", self.initial_source.len()));
-        out.push_str(&self.initial_source);
-        out.push('\n');
-        for event in &self.events {
-            match event {
-                TraceEvent::Tap(path) => {
-                    out.push_str("tap");
-                    for p in path {
-                        out.push_str(&format!(" {p}"));
-                    }
-                    out.push('\n');
-                }
-                TraceEvent::Back => out.push_str("back\n"),
-                TraceEvent::EditBox(path, text) => {
-                    out.push_str("editbox");
-                    for p in path {
-                        out.push_str(&format!(" {p}"));
-                    }
-                    out.push_str(" -- ");
-                    out.push_str(&text.replace('\n', "\\n"));
-                    out.push('\n');
-                }
-                TraceEvent::EditSource(src) => {
-                    out.push_str(&format!("editsource {}\n", src.len()));
-                    out.push_str(src);
-                    out.push('\n');
-                }
-            }
+        let mut out = String::from("#alive-trace v2\n");
+        push_block(&mut out, "editsource", &self.initial_source);
+        for command in &self.commands {
+            out.push_str(&command.serialize());
         }
         out
     }
 
-    /// Parse the plain-text trace format.
+    /// Parse the trace format: a command stream whose first command is
+    /// the `editsource` block carrying the initial source.
     ///
     /// # Errors
     ///
-    /// [`TraceParseError`] describing the malformed line.
-    pub fn parse(text: &str) -> Result<SessionTrace, TraceParseError> {
-        let mut rest = text;
-        let mut line_no = 0usize;
-        let mut next_line = |rest: &mut &str| -> Option<String> {
-            if rest.is_empty() {
-                return None;
-            }
-            line_no += 1;
-            match rest.find('\n') {
-                Some(i) => {
-                    let line = rest[..i].to_string();
-                    *rest = &rest[i + 1..];
-                    Some(line)
-                }
-                None => {
-                    let line = rest.to_string();
-                    *rest = "";
-                    Some(line)
-                }
-            }
-        };
-        let take_block = |rest: &mut &str, len: usize| -> Result<String, TraceParseError> {
-            if rest.len() < len {
-                return Err(TraceParseError::new(0, "length-prefixed block truncated"));
-            }
-            let block = rest[..len].to_string();
-            *rest = &rest[len..];
-            // Consume the trailing newline after the block.
-            if let Some(stripped) = rest.strip_prefix('\n') {
-                *rest = stripped;
-            }
-            Ok(block)
-        };
-
-        let header = next_line(&mut rest).ok_or_else(|| TraceParseError::new(1, "empty trace"))?;
-        if header.trim() != "#alive-trace v1" {
-            return Err(TraceParseError::new(1, "missing `#alive-trace v1` header"));
-        }
-        let source_line = next_line(&mut rest)
-            .ok_or_else(|| TraceParseError::new(2, "missing `source <len>` line"))?;
-        let len: usize = source_line
-            .strip_prefix("source ")
-            .and_then(|s| s.trim().parse().ok())
-            .ok_or_else(|| TraceParseError::new(2, "malformed `source <len>` line"))?;
-        let initial_source = take_block(&mut rest, len)?;
-
-        let mut events = Vec::new();
-        let mut ln = 2usize;
-        while let Some(line) = next_line(&mut rest) {
-            ln += 1;
-            let line = line.trim_end();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if let Some(args) = line.strip_prefix("tap") {
-                let path = parse_path(args)
-                    .ok_or_else(|| TraceParseError::new(ln, "malformed tap path"))?;
-                events.push(TraceEvent::Tap(path));
-            } else if line == "back" {
-                events.push(TraceEvent::Back);
-            } else if let Some(args) = line.strip_prefix("editbox") {
-                let (path_part, text) = args
-                    .split_once(" -- ")
-                    .ok_or_else(|| TraceParseError::new(ln, "editbox needs ` -- <text>`"))?;
-                let path = parse_path(path_part)
-                    .ok_or_else(|| TraceParseError::new(ln, "malformed editbox path"))?;
-                events.push(TraceEvent::EditBox(path, text.replace("\\n", "\n")));
-            } else if let Some(arg) = line.strip_prefix("editsource ") {
-                let len: usize = arg
-                    .trim()
-                    .parse()
-                    .map_err(|_| TraceParseError::new(ln, "malformed editsource length"))?;
-                let src = take_block(&mut rest, len)?;
-                events.push(TraceEvent::EditSource(src));
-            } else {
-                return Err(TraceParseError::new(ln, format!("unknown event `{line}`")));
-            }
-        }
-        Ok(SessionTrace {
-            initial_source,
-            events,
-        })
-    }
-}
-
-fn parse_path(args: &str) -> Option<Vec<usize>> {
-    args.split_whitespace()
-        .map(|p| p.parse::<usize>().ok())
-        .collect()
-}
-
-/// A malformed trace file.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceParseError {
-    /// 1-based line where parsing failed (0 if unknown).
-    pub line: usize,
-    /// Description.
-    pub message: String,
-}
-
-impl TraceParseError {
-    fn new(line: usize, message: impl Into<String>) -> Self {
-        TraceParseError {
-            line,
-            message: message.into(),
+    /// [`ProtocolParseError`] pointing at the malformed line, or at
+    /// line 1 when the stream does not open with an `editsource` block.
+    pub fn parse(text: &str) -> Result<SessionTrace, ProtocolParseError> {
+        let mut commands = parse_commands(text)?.into_iter();
+        match commands.next() {
+            Some(SessionCommand::EditSource(initial_source)) => Ok(SessionTrace {
+                initial_source,
+                commands: commands.collect(),
+            }),
+            _ => Err(ProtocolParseError {
+                line: 1,
+                message: "a trace opens with an `editsource` block carrying the initial source"
+                    .to_string(),
+            }),
         }
     }
 }
 
-impl fmt::Display for TraceParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "trace parse error at line {}: {}",
-            self.line, self.message
-        )
-    }
-}
-
-impl std::error::Error for TraceParseError {}
-
-/// A live session that records everything it is asked to do.
+/// A live session that records every command it is asked to apply.
 #[derive(Debug)]
 pub struct RecordingSession {
     session: LiveSession,
@@ -313,15 +167,15 @@ impl RecordingSession {
         })
     }
 
-    /// The underlying session (read-only; mutations must go through the
-    /// recording wrappers or they would escape the trace).
+    /// The underlying session (read-only; mutations must go through
+    /// [`RecordingSession::apply`] or they would escape the trace).
     pub fn session(&self) -> &LiveSession {
         &self.session
     }
 
     /// Mutable access *for view rendering only* (e.g. the Figure 2
     /// split view needs `&mut` to settle pending renders). Rendering is
-    /// not a trace event; do not use this to mutate the model.
+    /// not a command; do not use this to mutate the model.
     pub fn session_view_mut(&mut self) -> &mut LiveSession {
         &mut self.session
     }
@@ -336,142 +190,136 @@ impl RecordingSession {
         (self.session, self.trace)
     }
 
-    /// Recorded [`LiveSession::tap_path`].
-    ///
-    /// # Errors
-    ///
-    /// See [`LiveSession::tap_path`].
-    pub fn tap_path(&mut self, path: &[usize]) -> Result<(), SessionError> {
-        self.session.tap_path(path)?;
-        self.trace.events.push(TraceEvent::Tap(path.to_vec()));
-        Ok(())
-    }
-
-    /// Recorded [`LiveSession::back`].
-    ///
-    /// # Errors
-    ///
-    /// See [`LiveSession::back`].
-    pub fn back(&mut self) -> Result<(), SessionError> {
-        self.session.back()?;
-        self.trace.events.push(TraceEvent::Back);
-        Ok(())
-    }
-
-    /// Recorded [`LiveSession::edit_box`].
-    ///
-    /// # Errors
-    ///
-    /// See [`LiveSession::edit_box`].
-    pub fn edit_box(&mut self, path: &[usize], text: &str) -> Result<(), SessionError> {
-        self.session.edit_box(path, text)?;
-        self.trace
-            .events
-            .push(TraceEvent::EditBox(path.to_vec(), text.to_string()));
-        Ok(())
-    }
-
-    /// Recorded [`LiveSession::edit_source`]. Never fails; rejected and
-    /// quarantined edits are recorded too (replay reproduces them).
-    pub fn edit_source(&mut self, new_source: &str) -> EditOutcome {
-        let outcome = self.session.edit_source(new_source);
-        self.trace
-            .events
-            .push(TraceEvent::EditSource(new_source.to_string()));
-        outcome
-    }
-
-    /// The live view of the underlying session (total; see
-    /// [`LiveSession::live_view`]).
-    pub fn live_view(&mut self) -> String {
-        self.session.live_view()
-    }
-
-    /// Apply a protocol command, recording the replayable ones in the
-    /// trace (taps, back, box edits, source edits — the same event set
-    /// [`SessionTrace`] serializes; undo/redo are recorded as the
-    /// source edit they perform, queries are not recorded).
-    pub fn apply(
-        &mut self,
-        command: crate::protocol::SessionCommand,
-    ) -> Vec<crate::protocol::SessionEffect> {
-        use crate::protocol::{SessionCommand, SessionEffect};
-        match &command {
-            SessionCommand::TapPath(path) => {
-                self.trace.events.push(TraceEvent::Tap(path.clone()));
-            }
-            SessionCommand::Back => self.trace.events.push(TraceEvent::Back),
-            SessionCommand::EditBox { path, text } => self
-                .trace
-                .events
-                .push(TraceEvent::EditBox(path.clone(), text.clone())),
-            SessionCommand::EditSource(src) => {
-                self.trace.events.push(TraceEvent::EditSource(src.clone()));
-            }
-            _ => {}
-        }
-        let effects = self.session.apply(command);
-        // Undo/redo mutate the source like an edit; record the source
-        // they landed on so a replay reproduces the same history.
-        if let Some(SessionEffect::Undo { outcome, .. }) = effects.first() {
-            if outcome.is_applied() {
-                self.trace
-                    .events
-                    .push(TraceEvent::EditSource(self.session.source().to_string()));
-            }
-        }
-        effects
-    }
-
-    /// Restore a model snapshot (see [`alive_core::persist`]). Snapshot
-    /// restoration is its own persistence channel and is *not* recorded
-    /// in the trace.
-    ///
-    /// # Errors
-    ///
-    /// [`alive_core::persist::PersistError`] on malformed snapshots.
-    pub fn restore_snapshot(
-        &mut self,
-        snapshot: &str,
-    ) -> Result<alive_core::persist::LoadReport, alive_core::persist::PersistError> {
-        self.session.system_mut().restore(snapshot)
+    /// Record a protocol command and apply it (see
+    /// [`LiveSession::apply`]).
+    pub fn apply(&mut self, command: SessionCommand) -> Vec<SessionEffect> {
+        self.trace.commands.push(command.clone());
+        self.session.apply(command)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alive_apps::mortgage;
+    use alive_apps::{mortgage, COUNTER_SRC};
+    use SessionCommand::{AttrEdit, Back, EditBox, EditSource, Redo, TapPath, Undo};
 
     fn record_mortgage_session() -> (LiveSession, SessionTrace) {
         let src = mortgage::mortgage_src(4);
         let mut rec = RecordingSession::new(&src).expect("starts");
-        rec.tap_path(&[1, 1]).expect("open detail");
-        rec.edit_box(&[2, 0], "15").expect("edit term");
-        assert!(rec
-            .edit_source(&mortgage::apply_improvement_i2(&src))
-            .is_applied());
-        rec.back().expect("back");
+        for command in [
+            TapPath(vec![1, 1]),
+            EditBox {
+                path: vec![2, 0],
+                text: "15".into(),
+            },
+            EditSource(mortgage::apply_improvement_i2(&src)),
+            Back,
+        ] {
+            rec.apply(command);
+        }
         rec.into_parts()
+    }
+
+    /// The session and its replay agree on view, store and source.
+    fn assert_same_session(case: &str, original: &mut LiveSession, replayed: &mut LiveSession) {
+        assert_eq!(original.live_view(), replayed.live_view(), "{case}: view");
+        assert_eq!(
+            original.system().store(),
+            replayed.system().store(),
+            "{case}: store"
+        );
+        assert_eq!(original.source(), replayed.source(), "{case}: source");
+    }
+
+    #[test]
+    fn recorded_sessions_round_trip_and_replay_exactly() {
+        const LABEL_SRC: &str = "global label : string = \"x\"
+            page start() {
+                render { boxed { post label; on edited(t : string) { label := t; } } }
+            }";
+        let edit = |text: &str| EditBox {
+            path: vec![0],
+            text: text.into(),
+        };
+        // (case, program, commands, text the final view or source shows)
+        let cases: Vec<(&str, &str, Vec<SessionCommand>, &str)> = vec![
+            (
+                "a refused tap, then a good one",
+                COUNTER_SRC,
+                vec![TapPath(vec![9, 9]), TapPath(vec![1])],
+                "count: 1",
+            ),
+            (
+                "an attribute edit, undone and redone",
+                COUNTER_SRC,
+                vec![
+                    AttrEdit {
+                        path: vec![0],
+                        attr: "margin".into(),
+                        value: "2".into(),
+                    },
+                    Undo,
+                    Redo,
+                ],
+                "box.margin := 2;",
+            ),
+            (
+                "box texts the wire must escape",
+                LABEL_SRC,
+                vec![edit("line1\nline2"), edit("trailing  "), edit("a\\nb")],
+                "a\\nb",
+            ),
+        ];
+        // Every prefix of each session must survive the round trip: an
+        // unrecorded command shows up at the step that applied it.
+        for (case, src, commands, shows) in cases {
+            let mut rec = RecordingSession::new(src).expect("starts");
+            for (step, command) in commands.into_iter().enumerate() {
+                rec.apply(command);
+                let context = format!("{case}, step {step}");
+                let parsed = SessionTrace::parse(&rec.trace().serialize()).expect("parses");
+                assert_eq!(&parsed, rec.trace(), "{context}: trace round trip");
+                let mut replayed = parsed.replay().expect("replays");
+                assert_same_session(&context, rec.session_view_mut(), &mut replayed);
+            }
+            let original = rec.session_view_mut();
+            let shown = format!("{}{}", original.live_view(), original.source());
+            assert!(
+                shown.contains(shows),
+                "{case}: expected `{shows}` in\n{shown}"
+            );
+        }
+
+        // A trace opens with the initial source, and the command stream
+        // after it must parse.
+        let (_, trace) = record_mortgage_session();
+        let text = trace.serialize();
+        assert!(text.starts_with("#alive-trace v2\neditsource "), "{text}");
+        assert_eq!(SessionTrace::parse(&text).expect("parses"), trace);
+        assert!(SessionTrace::parse("").is_err());
+        assert!(SessionTrace::parse("#alive-trace v2\ntap 0\n").is_err());
+        assert!(SessionTrace::parse("#alive-trace v2\neditsource 99\nshort").is_err());
+        let err = SessionTrace::parse("#alive-trace v2\neditsource 1\nx\nfly 1 2")
+            .expect_err("unknown command");
+        assert!(err.to_string().contains("unknown command"), "{err}");
     }
 
     #[test]
     fn replay_reproduces_the_session_exactly() {
         let (mut original, trace) = record_mortgage_session();
         let mut replayed = trace.replay().expect("replays");
-        assert_eq!(original.live_view(), replayed.live_view());
-        assert_eq!(original.system().store(), replayed.system().store());
-        assert_eq!(original.source(), replayed.source());
+        assert_same_session("mortgage", &mut original, &mut replayed);
     }
 
     #[test]
     fn replay_prefix_time_travels() {
         let (_, trace) = record_mortgage_session();
         // Step 0: fresh session on the start page.
-        let mut t0 = trace.replay_prefix(0).expect("replays");
+        let t0 = trace.replay_prefix(0).expect("replays");
         assert_eq!(t0.system().current_page().map(|(n, _)| n), Some("start"));
         // Step 1: after the tap, on the detail page.
-        let mut t1 = trace.replay_prefix(1).expect("replays");
+        let t1 = trace.replay_prefix(1).expect("replays");
         assert_eq!(t1.system().current_page().map(|(n, _)| n), Some("detail"));
         // Step 2: term edited.
         let t2 = trace.replay_prefix(2).expect("replays");
@@ -482,37 +330,6 @@ mod tests {
         // Prefix beyond the end == full replay.
         let mut full = trace.replay_prefix(999).expect("replays");
         let mut exact = trace.replay().expect("replays");
-        assert_eq!(full.live_view(), exact.live_view());
-        let _ = (t0.live_view(), t1.live_view());
-    }
-
-    #[test]
-    fn serialization_roundtrips() {
-        let (_, trace) = record_mortgage_session();
-        let text = trace.serialize();
-        let parsed = SessionTrace::parse(&text).expect("parses");
-        assert_eq!(parsed, trace);
-        // And the parsed trace still replays.
-        parsed.replay().expect("replays");
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(SessionTrace::parse("").is_err());
-        assert!(SessionTrace::parse("#alive-trace v1\nnonsense").is_err());
-        assert!(SessionTrace::parse("#alive-trace v1\nsource 99\nshort").is_err());
-        let err = SessionTrace::parse("#alive-trace v1\nsource 1\nx\nfly 1 2")
-            .expect_err("unknown event");
-        assert!(err.to_string().contains("unknown event"));
-    }
-
-    #[test]
-    fn editbox_text_with_newlines_roundtrips() {
-        let mut trace = SessionTrace::new("page start() { render { } }");
-        trace
-            .events
-            .push(TraceEvent::EditBox(vec![0, 2], "line1\nline2".into()));
-        let parsed = SessionTrace::parse(&trace.serialize()).expect("parses");
-        assert_eq!(parsed, trace);
+        assert_same_session("prefix 999", &mut full, &mut exact);
     }
 }

@@ -1,14 +1,14 @@
 //! # alive-testkit
 //!
 //! The workspace's hermetic, zero-external-dependency test and bench
-//! kit. Three pieces:
+//! kit. Four pieces:
 //!
 //! * [`rng`] — a deterministic PRNG (SplitMix64 seeding xoshiro256\*\*)
 //!   with `gen_range` / `choose` / `shuffle` / string helpers;
 //! * [`prop`] — a minimal shrinking property-test harness: N cases
 //!   from one seed, greedy shrinking on failure, replayable via
 //!   `ALIVE_TESTKIT_SEED=… cargo test`;
-//! * [`bench`] — a warmup + median-of-K micro-bench timer emitting
+//! * [`bench`](mod@bench) — a warmup + median-of-K micro-bench timer emitting
 //!   JSON, driving the `harness = false` bench targets that used to
 //!   need Criterion;
 //! * [`fault`] — a deterministic fault injector for `alive-core`

@@ -5,23 +5,49 @@
 //! as a replay divergence here.
 
 use its_alive::apps::mortgage;
-use its_alive::live::{RecordingSession, SessionTrace};
+use its_alive::live::{RecordingSession, SessionCommand, SessionEffect, SessionTrace};
 
 const GOLDEN_PATH: &str = "tests/data/mortgage_session.trace";
+
+/// Apply a command the recording script expects to be delivered.
+fn apply(rec: &mut RecordingSession, command: SessionCommand) {
+    let effects = rec.apply(command);
+    assert!(
+        !effects
+            .iter()
+            .any(|e| matches!(e, SessionEffect::Refused(_))),
+        "refused: {effects:?}"
+    );
+}
 
 /// Re-record the golden trace (run with
 /// `cargo test --test golden_trace -- --ignored bless`).
 fn record() -> (RecordingSession, SessionTrace) {
     let src = mortgage::mortgage_src(5);
     let mut rec = RecordingSession::new(&src).expect("starts");
-    rec.tap_path(&[1, 1]).expect("open second listing");
-    rec.edit_box(&[2, 0], "15").expect("term := 15");
-    rec.edit_source(&mortgage::apply_improvement_i2(&src));
+    apply(&mut rec, SessionCommand::TapPath(vec![1, 1])); // open second listing
+    apply(
+        &mut rec,
+        SessionCommand::EditBox {
+            path: vec![2, 0],
+            text: "15".into(),
+        },
+    ); // term := 15
+    apply(
+        &mut rec,
+        SessionCommand::EditSource(mortgage::apply_improvement_i2(&src)),
+    );
     let with_i2 = rec.session().source().to_string();
-    rec.edit_source(&mortgage::apply_improvement_i3(&with_i2));
-    rec.back().expect("back to listings");
+    apply(
+        &mut rec,
+        SessionCommand::EditSource(mortgage::apply_improvement_i3(&with_i2)),
+    );
+    apply(&mut rec, SessionCommand::Back); // back to listings
     let with_i3 = rec.session().source().to_string();
-    rec.edit_source(&mortgage::apply_improvement_i1(&with_i3));
+    apply(
+        &mut rec,
+        SessionCommand::EditSource(mortgage::apply_improvement_i1(&with_i3)),
+    );
     let trace = rec.trace().clone();
     (rec, trace)
 }
@@ -45,21 +71,19 @@ fn golden_trace_replays_to_the_same_session() {
         .unwrap_or_else(|e| panic!("cannot parse {GOLDEN_PATH}: {e}\n{REBLESS}"));
 
     // Replaying the checked-in trace reproduces the live recording.
-    let (mut recorded, fresh_trace) = record();
+    let (recorded, fresh_trace) = record();
     assert_eq!(
         fresh_trace, golden,
         "the recording script drifted.\n{REBLESS}"
     );
     let mut replayed = golden.replay().expect("replays");
+    let (mut recorded, _) = recorded.into_parts();
     assert_eq!(
         recorded.live_view(),
         replayed.live_view(),
         "replay diverged from the recording"
     );
-    assert_eq!(
-        recorded.session().system().store(),
-        replayed.system().store()
-    );
+    assert_eq!(recorded.system().store(), replayed.system().store());
 
     // The final state is the paper's: back on the listings page, with
     // the improved margins, the model keeping term = 15.

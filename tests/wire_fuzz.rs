@@ -5,14 +5,21 @@
 //! edits are interleaved with them, so many taps hit a display no frame
 //! was read for yet. After every batch the session must not have
 //! panicked, and its live view must equal a from-scratch layout and
-//! paint of its display tree.
+//! paint of its display tree. Every session runs inside a
+//! `RecordingSession`, and odd-numbered programs also drive a memoized
+//! session in lockstep. At the end of each program the recorded trace
+//! must survive serialize then parse unchanged, and its replay must
+//! show the same view, store and source as the live session (and the
+//! memoized one).
 //!
 //! Replay a failure with
 //! `ALIVE_TESTKIT_SEED=0x… cargo test --test wire_fuzz`.
 
 use alive_corpus::corpus;
 use alive_testkit::{check, Config, NoShrink, Rng};
-use its_alive::live::{parse_commands, LiveSession, SessionCommand};
+use its_alive::live::{
+    parse_commands, LiveSession, RecordingSession, SessionCommand, SessionTrace,
+};
 use its_alive::ui::{layout, render_to_text};
 
 /// Batches applied per corpus program in each case.
@@ -133,26 +140,62 @@ fn check_view(session: &mut LiveSession, context: &str) -> Result<(), String> {
     }
 }
 
+/// The replay of a trace and the session it recorded agree on view,
+/// store and source.
+fn check_replay(
+    session: &mut LiveSession,
+    replayed: &mut LiveSession,
+    context: &str,
+) -> Result<(), String> {
+    let (view, replayed_view) = (session.live_view(), replayed.live_view());
+    if view != replayed_view {
+        return Err(format!(
+            "{context}: replay view diverged\n--- session ---\n{view}--- replay ---\n{replayed_view}"
+        ));
+    }
+    if session.system().store() != replayed.system().store() {
+        return Err(format!("{context}: replay store diverged"));
+    }
+    if session.source() != replayed.source() {
+        return Err(format!("{context}: replay source diverged"));
+    }
+    Ok(())
+}
+
+/// Apply a command to the recorded session and, in lockstep, to the
+/// memoized one.
+fn apply(
+    recording: &mut RecordingSession,
+    memo: &mut Option<LiveSession>,
+    command: SessionCommand,
+) {
+    if let Some(memo) = memo {
+        memo.apply(command.clone());
+    }
+    recording.apply(command);
+}
+
 fn walk(seed: u64) -> Result<(), String> {
     let mut rng = Rng::new(seed);
     for (i, program) in corpus().into_iter().enumerate() {
         let name = program.spec.name();
         let original = program.source;
-        let mut session = if i % 2 == 0 {
-            LiveSession::new(&original)
+        let compile_error = |e| format!("{name}: corpus program does not compile: {e:?}");
+        let mut recording = RecordingSession::new(&original).map_err(compile_error)?;
+        let mut memo = if i % 2 == 1 {
+            Some(LiveSession::with_memo(&original).map_err(compile_error)?)
         } else {
-            LiveSession::with_memo(&original)
-        }
-        .map_err(|e| format!("{name}: corpus program does not compile: {e:?}"))?;
+            None
+        };
         for batch in 0..BATCHES {
             // Random text first: the parser must answer, never panic.
             if let Ok(commands) = parse_commands(&rng.any_string(120)) {
                 for c in commands {
-                    session.apply(c);
+                    apply(&mut recording, &mut memo, c);
                 }
             }
             let commands: Vec<SessionCommand> = (0..2 + rng.below(5))
-                .map(|_| command(&mut rng, &original, &session))
+                .map(|_| command(&mut rng, &original, recording.session()))
                 .collect();
             let text: String = commands.iter().map(SessionCommand::serialize).collect();
             let reparsed = parse_commands(&text)
@@ -165,9 +208,26 @@ fn walk(seed: u64) -> Result<(), String> {
                 _ => commands,
             };
             for c in commands {
-                session.apply(c);
+                apply(&mut recording, &mut memo, c);
             }
-            check_view(&mut session, &format!("{name} batch {batch}"))?;
+            let context = format!("{name} batch {batch}");
+            check_view(recording.session_view_mut(), &context)?;
+            if let Some(memo) = memo.as_mut() {
+                check_view(memo, &format!("{context} (memo)"))?;
+            }
+        }
+        let text = recording.trace().serialize();
+        let trace = SessionTrace::parse(&text)
+            .map_err(|e| format!("{name}: recorded trace does not parse: {e}"))?;
+        if &trace != recording.trace() {
+            return Err(format!("{name}: trace did not round-trip:\n{text}"));
+        }
+        let mut replayed = trace
+            .replay()
+            .map_err(|e| format!("{name}: trace does not replay: {e}"))?;
+        check_replay(recording.session_view_mut(), &mut replayed, &name)?;
+        if let Some(memo) = memo.as_mut() {
+            check_replay(memo, &mut replayed, &format!("{name} (memo)"))?;
         }
     }
     Ok(())
