@@ -1,6 +1,7 @@
 //! E-eval — the bytecode VM on eval-heavy workloads: a 10 000-item
 //! collection loop, deep call graphs (recursive fib), deep local chains
-//! (resolved to frame slots at compile time), and a dense render.
+//! (resolved to frame slots at compile time), a dense render, and a
+//! render of feed rows shaped like the scenario corpus's.
 //!
 //! Per workload (page init + render) the bench reports the wall-clock
 //! median, the VM instructions executed, and the heap allocations of
@@ -142,6 +143,28 @@ fn render_src(boxes: usize) -> String {
                      boxed {{
                          post \"item \" ++ (i * base);
                          box.margin := 1;
+                     }}
+                 }}
+             }}
+         }}"
+    )
+}
+
+/// Feed rows shaped like the corpus feed's: each row posts a 3-operand
+/// `++` chain over a pure function call and a global list read, and
+/// carries an `on tap` closure.
+fn feed_src(rows: usize) -> String {
+    format!(
+        "global scores : list number = []
+         global hot : number = 0
+         fun rank(v: number): number pure {{ math.max(v, hot) }}
+         page start() {{
+             init {{ scores := list.range(0, {rows}); }}
+             render {{
+                 for i in 0 .. {rows} {{
+                     boxed {{
+                         post \"story \" ++ i ++ rank(list.nth(scores, i));
+                         on tap {{ hot := list.nth(scores, i); }}
                      }}
                  }}
              }}
@@ -324,6 +347,7 @@ fn main() {
         measure("fib18", &fib_src(18), runs),
         measure("deep_locals128", &deep_locals_src(128, 2_000), runs),
         measure("render1k", &render_src(1_000), runs),
+        measure("feed_rows1k", &feed_src(1_000), runs),
     ];
 
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());

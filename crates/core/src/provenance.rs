@@ -19,7 +19,7 @@
 
 use crate::expr::{Expr, ExprKind};
 use crate::types::Name;
-use crate::value::Value;
+use crate::value::{CapturedEnv, Value};
 use alive_syntax::Span;
 use std::sync::Arc;
 
@@ -36,7 +36,7 @@ pub enum Provenance {
         /// Span of the producing expression.
         span: Span,
         /// `(name, value)` snapshot of the expression's free locals.
-        env: Arc<Vec<(Name, Value)>>,
+        env: CapturedEnv,
     },
 }
 

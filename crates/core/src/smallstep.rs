@@ -703,7 +703,7 @@ impl<'a> Machine<'a> {
             params: lam.params.clone(),
             effect: lam.effect,
             body: lam.body.clone(),
-            env: Arc::new(env),
+            env: Arc::from(env),
             version: self.host.version,
         };
         Expr::new(ExprKind::Val(Value::Closure(Arc::new(closure))), span)
@@ -724,7 +724,7 @@ impl<'a> Machine<'a> {
                         found: args.len(),
                     });
                 }
-                let mut bindings = c.env.as_ref().clone();
+                let mut bindings = c.env.to_vec();
                 bindings.extend(c.params.iter().map(|p| p.name.clone()).zip(args));
                 Ok(self.bind(&bindings, &c.body, span))
             }
@@ -1696,7 +1696,7 @@ mod tests {
             params: Arc::from(Vec::new()),
             effect: Effect::Pure,
             body: Arc::new(Expr::unit(Span::DUMMY)),
-            env: Arc::new(vec![(Arc::from("k"), Value::Number(32.0))]),
+            env: Arc::from(vec![(Arc::from("k"), Value::Number(32.0))]),
             version: 3,
         }));
         let term = value_to_expr(&closure, Span::DUMMY);

@@ -69,9 +69,10 @@ impl fmt::Display for Color {
     }
 }
 
-/// The environment captured by a closure: a by-value snapshot of the
-/// bindings visible at the lambda, innermost last.
-pub type CapturedEnv = Arc<Vec<(Name, Value)>>;
+/// A by-value snapshot of local bindings, innermost last, in one
+/// allocation: a closure's captured environment (every binding visible
+/// at the lambda), or a provenance record's free locals.
+pub type CapturedEnv = Arc<[(Name, Value)]>;
 
 /// A closure value: a lambda plus its captured environment.
 ///
@@ -230,11 +231,21 @@ impl From<&str> for Value {
 /// Format a number the way the language displays it: integers without a
 /// decimal point, everything else in shortest-roundtrip form.
 pub fn fmt_number(n: f64) -> String {
-    if n.fract() == 0.0 && n.abs() < 1e15 {
-        format!("{}", n as i64)
+    let mut text = String::new();
+    write_number(&mut text, n);
+    text
+}
+
+/// Append `n` to `out` as [`fmt_number`] formats it, without a
+/// temporary string.
+pub(crate) fn write_number(out: &mut String, n: f64) {
+    use fmt::Write;
+    // Writing into a `String` cannot fail.
+    let _ = if n.fract() == 0.0 && n.abs() < 1e15 {
+        write!(out, "{}", n as i64)
     } else {
-        format!("{n}")
-    }
+        write!(out, "{n}")
+    };
 }
 
 #[cfg(test)]

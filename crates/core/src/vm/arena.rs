@@ -12,7 +12,13 @@
 //! The same object pools the render spine: the `Vec<BoxNode>` of open
 //! box frames is borrowed per run ([`Scratch::take_box_spine`]) and
 //! returned cleared, so steady-state renders reuse its capacity too.
+//! It also pools the text buffer a fused `++` chain is built in
+//! ([`Scratch::concat`]), so each runtime string costs exactly one
+//! allocation: the final `Arc<str>`.
 
+use std::sync::Arc;
+
+use super::push_concat_text;
 use crate::boxtree::BoxNode;
 use crate::error::RuntimeError;
 use crate::value::Value;
@@ -27,6 +33,8 @@ use crate::value::Value;
 pub struct Scratch {
     regs: Vec<Value>,
     box_spine: Vec<BoxNode>,
+    /// Text buffer for [`Scratch::concat`], cleared per use.
+    text: String,
     hiwater: usize,
     epochs: u64,
 }
@@ -97,6 +105,35 @@ impl Scratch {
             .ok_or(RuntimeError::Internal("vm: register out of range"))
     }
 
+    /// Every register from absolute index `base` to the top of the
+    /// stack — the current frame window and any above it.
+    #[inline]
+    pub(crate) fn window(&self, base: usize) -> Result<&[Value], RuntimeError> {
+        self.regs
+            .get(base..)
+            .ok_or(RuntimeError::Internal("vm: register out of range"))
+    }
+
+    /// The `++` text of the `n` registers from absolute index `base`,
+    /// built in the pooled text buffer and copied out in one
+    /// allocation.
+    ///
+    /// # Errors
+    ///
+    /// As [`push_concat_text`], on an operand that is not a string,
+    /// number, bool or color.
+    pub(crate) fn concat(&mut self, base: usize, n: usize) -> Result<Value, RuntimeError> {
+        let operands = self
+            .regs
+            .get(base..base + n)
+            .ok_or(RuntimeError::Internal("vm: register out of range"))?;
+        self.text.clear();
+        for v in operands {
+            push_concat_text(&mut self.text, v)?;
+        }
+        Ok(Value::Str(Arc::from(self.text.as_str())))
+    }
+
     /// Borrow the pooled render spine (open box frames) for one run.
     pub(crate) fn take_box_spine(&mut self) -> Vec<BoxNode> {
         let mut spine = std::mem::take(&mut self.box_spine);
@@ -144,6 +181,27 @@ mod tests {
         assert!(s.get(0).is_err());
         // Capacity is retained; high-water survives the epoch reset.
         assert_eq!(s.hiwater_bytes(), 6 * std::mem::size_of::<Value>() as u64);
+    }
+
+    #[test]
+    fn concat_builds_one_string_from_a_register_run() {
+        let mut s = Scratch::new();
+        s.begin();
+        s.push_window(4);
+        s.set(0, Value::str("n=")).unwrap();
+        s.set(1, Value::Number(-2.0)).unwrap();
+        s.set(2, Value::Bool(true)).unwrap();
+        s.set(3, Value::Color(crate::value::Color::new(1, 2, 3)))
+            .unwrap();
+        assert_eq!(s.concat(0, 4).unwrap(), Value::str("n=-2truetransparent"));
+        // The buffer is cleared per use.
+        assert_eq!(s.concat(1, 1).unwrap(), Value::str("-2"));
+        s.set(2, Value::unit()).unwrap();
+        assert!(matches!(
+            s.concat(0, 3),
+            Err(RuntimeError::TypeMismatch { .. })
+        ));
+        assert!(s.concat(3, 2).is_err());
     }
 
     #[test]

@@ -230,6 +230,10 @@ fn frame_need<'e>(e: &'e Expr, lambdas: &mut Vec<&'e LambdaExpr>) -> usize {
         ExprKind::Tuple(es) | ExprKind::ListLit(es) | ExprKind::PushPage(_, es) => {
             es.len() + es.iter().map(need).fold(1, usize::max)
         }
+        ExprKind::Binary(BinOp::Concat, ..) => {
+            let operands = concat_operands(e);
+            operands.len() + operands.into_iter().map(need).fold(1, usize::max)
+        }
         ExprKind::Call(callee, args) => {
             let callee = need(callee);
             args.len() + 1 + args.iter().map(need).fold(callee.max(1), usize::max)
@@ -251,6 +255,24 @@ fn frame_need<'e>(e: &'e Expr, lambdas: &mut Vec<&'e LambdaExpr>) -> usize {
         ExprKind::WidgetWrite(_, v) => 2 + need(v),
         ExprKind::Binary(_, l, r) => 2 + need(l).max(need(r)).max(1),
     }
+}
+
+/// The operands of the maximal `++` tree rooted at `e`, left to right:
+/// `a ++ b ++ c` and `a ++ (b ++ c)` both give `[a, b, c]`. Walks with
+/// an explicit stack, so a long chain costs no native recursion.
+fn concat_operands(e: &Expr) -> Vec<&Expr> {
+    let mut operands = Vec::new();
+    let mut pending = vec![e];
+    while let Some(e) = pending.pop() {
+        match &e.kind {
+            ExprKind::Binary(BinOp::Concat, l, r) => {
+                pending.push(r);
+                pending.push(l);
+            }
+            _ => operands.push(e),
+        }
+    }
+    operands
 }
 
 fn param_binds(params: &[ParamSig]) -> Result<Vec<(Name, Reg)>, CompileError> {
@@ -473,37 +495,21 @@ impl FnCompiler<'_, '_> {
                 if elems.is_empty() {
                     return self.emit_unit(dst);
                 }
-                let w = self.save();
-                let base = self.alloc_n(elems.len())?;
-                for (i, el) in elems.iter().enumerate() {
-                    self.emit(el, Some(base + i as u16))?;
-                }
-                let d = self.sink(dst)?;
-                self.push(Instr::MakeTuple {
-                    dst: d,
+                self.emit_gathered(elems.iter(), dst, |dst, base, len| Instr::MakeTuple {
+                    dst,
                     base,
-                    len: elems.len() as u16,
-                });
-                self.restore(w);
-                Ok(())
+                    len,
+                })
             }
             ExprKind::ListLit(elems) => {
                 if elems.is_empty() {
                     return self.emit_const(dst, Value::list(Vec::new()));
                 }
-                let w = self.save();
-                let base = self.alloc_n(elems.len())?;
-                for (i, el) in elems.iter().enumerate() {
-                    self.emit(el, Some(base + i as u16))?;
-                }
-                let d = self.sink(dst)?;
-                self.push(Instr::MakeList {
-                    dst: d,
+                self.emit_gathered(elems.iter(), dst, |dst, base, len| Instr::MakeList {
+                    dst,
                     base,
-                    len: elems.len() as u16,
-                });
-                self.restore(w);
-                Ok(())
+                    len,
+                })
             }
             ExprKind::Proj(base_e, index) => {
                 let w = self.save();
@@ -825,6 +831,11 @@ impl FnCompiler<'_, '_> {
                     self.restore(w);
                     Ok(())
                 }
+                BinOp::Concat => {
+                    self.emit_gathered(concat_operands(e).into_iter(), dst, |dst, base, len| {
+                        Instr::Concat { dst, base, len }
+                    })
+                }
                 _ => {
                     let w = self.save();
                     let a = self.emit_operand(lhs, &[rhs])?;
@@ -855,6 +866,27 @@ impl FnCompiler<'_, '_> {
                 "small-step runtime term in program code",
             )),
         }
+    }
+
+    /// Evaluate `elems` left to right into consecutive fresh registers,
+    /// then gather them with the instruction `make(dst, base, len)`
+    /// builds (a tuple, a list, or a fused `++` chain).
+    fn emit_gathered<'e>(
+        &mut self,
+        elems: impl ExactSizeIterator<Item = &'e Expr>,
+        dst: Option<Reg>,
+        make: fn(Reg, Reg, u16) -> Instr,
+    ) -> Result<(), CompileError> {
+        let w = self.save();
+        let len = elems.len();
+        let base = self.alloc_n(len)?;
+        for (i, el) in elems.enumerate() {
+            self.emit(el, Some(base + i as u16))?;
+        }
+        let d = self.sink(dst)?;
+        self.push(make(d, base, len as u16));
+        self.restore(w);
+        Ok(())
     }
 
     fn emit_call(

@@ -25,13 +25,13 @@ use crate::expr::{BoxSourceId, RememberId};
 use crate::fault::FaultInjector;
 use crate::store::Store;
 use crate::types::{Effect, Name};
-use crate::value::{Closure, Value};
+use crate::value::{CapturedEnv, Closure, Value};
 use crate::widget::WidgetStore;
 
 use crate::provenance::Provenance;
 
 use super::arena::Scratch;
-use super::{GuardOp, Instr, ProvSpec, VmProgram};
+use super::{GuardOp, Instr, ProvSpec, Reg, VmProgram};
 
 /// Execution statistics for one VM run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -166,17 +166,32 @@ impl<'a> Vm<'a> {
         self.vmp.syms.get(sym as usize).ok_or(BAD_CODE)
     }
 
-    /// Materialize a compile-time capture set into the visible local
-    /// environment (outermost first, shadowed included).
-    fn capture_locals(&self, base: usize, cap: u32) -> Result<Vec<(Name, Value)>, RuntimeError> {
-        let set = self.vmp.captures.get(cap as usize).ok_or(BAD_CODE)?;
-        let mut locals = Vec::with_capacity(set.len());
-        for &(sym, r) in set.iter() {
-            let name = self.sym_name(sym)?.clone();
-            let v = self.scratch.get(base + r as usize)?.clone();
-            locals.push((name, v));
+    /// Snapshot the registers of a compile-time `(symbol, register)`
+    /// set, relative to the window at `base`, in one allocation: a
+    /// closure environment, a provenance record's free locals, or the
+    /// locals a render hook sees. Every index is checked first, so the
+    /// collect runs over an exact-size iterator and allocates once.
+    fn snapshot(&self, base: usize, set: &[(u32, Reg)]) -> Result<CapturedEnv, RuntimeError> {
+        let syms = &self.vmp.syms;
+        let regs = self.scratch.window(base)?;
+        if set
+            .iter()
+            .any(|&(sym, r)| sym as usize >= syms.len() || r as usize >= regs.len())
+        {
+            return Err(BAD_CODE);
         }
-        Ok(locals)
+        // Indexing cannot fail: every index was checked above.
+        Ok(set
+            .iter()
+            .map(|&(sym, r)| (syms[sym as usize].clone(), regs[r as usize].clone()))
+            .collect())
+    }
+
+    /// The render-hook capture set `cap`, snapshotted at `base`: the
+    /// visible local environment, outermost first, shadowed included.
+    fn capture_locals(&self, base: usize, cap: u32) -> Result<CapturedEnv, RuntimeError> {
+        let set = self.vmp.captures.get(cap as usize).ok_or(BAD_CODE)?;
+        self.snapshot(base, set)
     }
 
     /// Materialize a compile-time [`ProvSpec`] into a runtime
@@ -186,18 +201,10 @@ impl<'a> Vm<'a> {
         let spec = self.vmp.provs.get(prov as usize).ok_or(BAD_CODE)?;
         Ok(Some(match spec {
             ProvSpec::Literal(span) => Provenance::Literal(*span),
-            ProvSpec::Expr { span, free } => {
-                let mut env = Vec::with_capacity(free.len());
-                for &(sym, r) in free.iter() {
-                    let name = self.sym_name(sym)?.clone();
-                    let v = self.scratch.get(base + r as usize)?.clone();
-                    env.push((name, v));
-                }
-                Provenance::Expr {
-                    span: *span,
-                    env: Arc::new(env),
-                }
-            }
+            ProvSpec::Expr { span, free } => Provenance::Expr {
+                span: *span,
+                env: self.snapshot(base, free)?,
+            },
         }))
     }
 
@@ -249,17 +256,11 @@ impl<'a> Vm<'a> {
                 }
                 Instr::MakeClosure { dst, l } => {
                     let info = vmp.lambdas.get(l as usize).ok_or(BAD_CODE)?;
-                    let mut env = Vec::with_capacity(info.captures.len());
-                    for &(sym, r) in info.captures.iter() {
-                        let name = vmp.syms.get(sym as usize).ok_or(BAD_CODE)?.clone();
-                        let v = self.scratch.get(base + r as usize)?.clone();
-                        env.push((name, v));
-                    }
                     let v = Value::Closure(Arc::new(Closure {
                         params: info.params.clone(),
                         effect: info.effect,
                         body: info.body.clone(),
-                        env: Arc::new(env),
+                        env: self.snapshot(base, &info.captures)?,
                         version: self.version,
                     }));
                     self.scratch.set(base + dst as usize, v)?;
@@ -277,6 +278,10 @@ impl<'a> Vm<'a> {
                         .slice(base + b as usize, len as usize)?
                         .to_vec();
                     self.scratch.set(base + dst as usize, Value::list(vs))?;
+                }
+                Instr::Concat { dst, base: b, len } => {
+                    let v = self.scratch.concat(base + b as usize, len as usize)?;
+                    self.scratch.set(base + dst as usize, v)?;
                 }
                 Instr::Proj { dst, src, index } => {
                     let v = match self.scratch.get(base + src as usize)? {
@@ -651,7 +656,7 @@ impl<'a> Vm<'a> {
                 // Closures made by this program version always resolve
                 // (every lambda body is registered at compile time).
                 let l = self.vmp.lambda_for(&c.body).ok_or(FOREIGN)?;
-                self.call_lambda(l, args_at, argc, Some(&c.env))
+                self.call_lambda(l, args_at, argc, Some(&c.env[..]))
             }
             Value::Prim(p) => {
                 if let Some(injector) = self.faults.as_deref_mut() {
@@ -673,7 +678,7 @@ impl<'a> Vm<'a> {
         l: u32,
         args_at: usize,
         argc: u16,
-        env: Option<&Arc<Vec<(Name, Value)>>>,
+        env: Option<&[(Name, Value)]>,
     ) -> Result<Value, RuntimeError> {
         let vmp = self.vmp;
         let info = vmp.lambdas.get(l as usize).ok_or(BAD_CODE)?;
@@ -701,7 +706,7 @@ impl<'a> Vm<'a> {
         &mut self,
         chunk_idx: u32,
         nbase: usize,
-        env: Option<&Arc<Vec<(Name, Value)>>>,
+        env: Option<&[(Name, Value)]>,
         args_at: usize,
         argc: u16,
         env_len: usize,
@@ -753,7 +758,7 @@ impl<'a> Vm<'a> {
                 for (i, v) in args.iter().enumerate() {
                     self.scratch.set(sbase + i, v.clone())?;
                 }
-                let r = self.call_lambda(l, sbase, argc, Some(&c.env));
+                let r = self.call_lambda(l, sbase, argc, Some(&c.env[..]));
                 self.scratch.pop_window(sbase);
                 r
             }

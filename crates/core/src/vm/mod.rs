@@ -16,6 +16,10 @@
 //!   register stack with an epoch reset per transition
 //!   (`Scratch::begin`); the render spine (`Vec<BoxNode>`) is pooled
 //!   the same way.
+//! * **One allocation per value** — a maximal `++` chain compiles to
+//!   one `Concat` instruction that builds its text in a pooled buffer
+//!   and copies it out once; a closure environment or provenance
+//!   snapshot is one `Arc<[(Name, Value)]>`.
 //! * **Budgets** — fuel bounds the work of one transition, and
 //!   [`MAX_CALL_DEPTH`] bounds its native call nesting: a run over
 //!   either budget ends in a typed [`RuntimeError`], which the system
@@ -155,18 +159,10 @@ pub fn apply_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value, RuntimeErro
         Div => Value::Number(num(l)? / num(r)?),
         Mod => Value::Number(num(l)?.rem_euclid(num(r)?)),
         Concat => {
-            let coerce = |v: &Value| -> Result<String, RuntimeError> {
-                match v {
-                    Value::Str(_) | Value::Number(_) | Value::Bool(_) | Value::Color(_) => {
-                        Ok(v.display_text())
-                    }
-                    other => Err(RuntimeError::TypeMismatch {
-                        expected: "string, number, bool, or color",
-                        found: other.display_text(),
-                    }),
-                }
-            };
-            Value::str(format!("{}{}", coerce(l)?, coerce(r)?))
+            let mut text = String::new();
+            push_concat_text(&mut text, l)?;
+            push_concat_text(&mut text, r)?;
+            Value::Str(Arc::from(text))
         }
         Eq => Value::Bool(l == r),
         Ne => Value::Bool(l != r),
@@ -204,6 +200,35 @@ pub fn apply_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value, RuntimeErro
     })
 }
 
+/// Append one `++` operand's text to `out`: strings bare, numbers as
+/// [`crate::value::fmt_number`] formats them, bools and colors by name.
+/// The one definition of concat text — the VM's fused `Concat`
+/// instruction and [`apply_binop`] (the small-step machine, `persist`)
+/// both build their strings with it.
+///
+/// # Errors
+///
+/// [`RuntimeError::TypeMismatch`] on any other kind of value.
+pub(crate) fn push_concat_text(out: &mut String, v: &Value) -> Result<(), RuntimeError> {
+    match v {
+        Value::Str(s) => out.push_str(s),
+        Value::Number(n) => crate::value::write_number(out, *n),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Color(c) => {
+            use std::fmt::Write;
+            // Writing into a `String` cannot fail.
+            let _ = write!(out, "{c}");
+        }
+        other => {
+            return Err(RuntimeError::TypeMismatch {
+                expected: "string, number, bool, or color",
+                found: other.display_text(),
+            })
+        }
+    }
+    Ok(())
+}
+
 /// A register index within the current frame window.
 pub(crate) type Reg = u16;
 
@@ -228,6 +253,9 @@ pub(crate) enum Instr {
     MakeTuple { dst: Reg, base: Reg, len: u16 },
     /// `dst = [r[base], …, r[base+len-1]]`.
     MakeList { dst: Reg, base: Reg, len: u16 },
+    /// `dst = r[base] ++ … ++ r[base+len-1]`: one maximal `++` chain,
+    /// fused, its text built in the pooled buffer and copied out once.
+    Concat { dst: Reg, base: Reg, len: u16 },
     /// `dst = src.index` (1-based tuple projection).
     Proj { dst: Reg, src: Reg, index: u32 },
     /// `dst = r[callee](r[base] … r[base+argc-1])`.
@@ -256,7 +284,8 @@ pub(crate) enum Instr {
     CheckBool { src: Reg },
     /// Assert `src` is a number (`for` bound checks).
     CheckNum { src: Reg },
-    /// `dst = a op b` for non-short-circuit operators.
+    /// `dst = a op b` for non-short-circuit operators other than `++`
+    /// (which compiles to [`Instr::Concat`]).
     Bin { op: BinOp, dst: Reg, a: Reg, b: Reg },
     /// `dst = -src` (number-checked).
     Neg { dst: Reg, src: Reg },

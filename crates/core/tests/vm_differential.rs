@@ -29,6 +29,7 @@ use alive_core::boxtree::{BoxNode, Display};
 use alive_core::event::{Event, EventQueue};
 use alive_core::fault::{Fault, FaultInjector};
 use alive_core::prim::Prim;
+use alive_core::program::Program;
 use alive_core::smallstep::{self, Host};
 use alive_core::store::Store;
 use alive_core::system::{StepKind, System, SystemConfig};
@@ -99,6 +100,53 @@ fn num_expr(rng: &mut Rng, vars: &[&str], depth: usize) -> String {
     }
 }
 
+/// One `++` operand of every kind the checker admits: a string (a
+/// literal, the string global `gs`, or a call of the pure `label`), an
+/// integer, negative, fractional or ≥1e15 number, a bool or a color.
+/// `nums` are the numeric locals in scope; `label` is left out of the
+/// body of `label` itself. No operand reads `gt`, the global that
+/// chains are assigned to, so no string grows over a walk.
+fn concat_operand(rng: &mut Rng, nums: &[&str], label: bool) -> String {
+    match rng.below(if label { 9 } else { 8 }) {
+        0 => format!("\"{}\"", rng.choose(&["a", "", " / ", "x=", "[", "-"])),
+        1 => "gs".to_string(),
+        2 => num_expr(rng, nums, 2),
+        3 => format!("-{}", rng.below(1000)),
+        4 => rng
+            .choose(&["2.5", "0.1", "(0.1 + 0.2)", "(1 / 3)", "(0 - 7.25)"])
+            .to_string(),
+        5 => rng
+            .choose(&[
+                "1000000000000000",
+                "123456789012345678",
+                "(ga * 1000000000000000)",
+                "(0 - 1000000000000000)",
+            ])
+            .to_string(),
+        6 => rng.choose(&["true", "false", "(ga > gb)"]).to_string(),
+        7 => rng
+            .choose(&["colors.red", "colors.light_blue", "colors.transparent"])
+            .to_string(),
+        _ => format!("label({})", num_expr(rng, nums, 1)),
+    }
+}
+
+/// A `++` chain of 2–6 operands: left-nested as written
+/// (`a ++ b ++ c`), or parenthesised right-nested
+/// (`a ++ (b ++ (c ++ d))`) — the compiler must fuse both into one
+/// instruction with the reference's text.
+fn concat_chain(rng: &mut Rng, nums: &[&str], label: bool) -> String {
+    let operands: Vec<String> = (0..2 + rng.below(5))
+        .map(|_| concat_operand(rng, nums, label))
+        .collect();
+    if rng.chance(1, 2) {
+        return operands.join(" ++ ");
+    }
+    let mut rest = operands.into_iter().rev();
+    let last = rest.next().unwrap_or_default();
+    rest.fold(last, |acc, op| format!("{op} ++ ({acc})"))
+}
+
 /// A random sequence of init statements: lets, global writes, bounded
 /// while loops over a mutable local, foreach over a literal list,
 /// lambda binding and calls.
@@ -131,6 +179,12 @@ fn init_stmts(rng: &mut Rng) -> String {
             )),
         }
     }
+    if rng.chance(1, 2) {
+        out.push_str(&format!(
+            "gt := {};\n",
+            concat_chain(rng, &["x1", "x2"], true)
+        ));
+    }
     out.push_str("ga := x1 + x2;\n");
     out
 }
@@ -156,21 +210,65 @@ fn render_stmts_plain(rng: &mut Rng) -> String {
     out
 }
 
+/// Render statements built on `++` chains, placed after the tap
+/// targets so they leave the walks' tap fan alone: a posted chain, a
+/// chain through a closure over a render local, chains in a loop, and
+/// sometimes a chain whose operand faults.
+fn render_stmts_concat(rng: &mut Rng) -> String {
+    let mut out = String::new();
+    out.push_str(&format!(
+        "boxed {{ post {}; }}\n",
+        concat_chain(rng, &[], true)
+    ));
+    out.push_str(&format!(
+        "let r = {};\nlet show = fn(k: number) -> {};\nboxed {{ post show({}); }}\n",
+        num_expr(rng, &[], 1),
+        concat_chain(rng, &["k", "r"], true),
+        num_expr(rng, &["r"], 1)
+    ));
+    if rng.chance(1, 2) {
+        out.push_str(&format!(
+            "for c in 0 .. 2 {{ boxed {{ post {}; }} }}\n",
+            concat_chain(rng, &["c"], true)
+        ));
+    }
+    // A chain whose operand faults (`list.nth` out of range) once `gb`
+    // is even: the render fails identically on both machines.
+    if rng.chance(1, 6) {
+        out.push_str(&format!(
+            "if gb % 2 == 0 {{ boxed {{ post {} ++ list.nth([1, 2], 5) ++ {}; }} }}\n",
+            concat_operand(rng, &[], true),
+            concat_operand(rng, &[], true)
+        ));
+    }
+    out
+}
+
 /// A whole program: the plain statements plus `remember`, tap handlers
-/// (global, local and view-state writes, prim calls, push/pop), and a
-/// parameterized second page.
+/// (global, local, string and view-state writes, prim calls, push/pop),
+/// a parameterized second page, a pure string function and a live
+/// example built from `++` chains.
 fn arb_walk_program(rng: &mut Rng) -> String {
     let ga = rng.below(50);
     let gb = rng.below(50);
+    let label = concat_chain(rng, &["x"], false);
+    let example = concat_chain(rng, &[], true);
+    let expect = concat_chain(rng, &[], true);
     let init = init_stmts(rng);
     let render = render_stmts_plain(rng);
+    let render_concat = render_stmts_concat(rng);
     let hits0 = rng.below(5);
     let h1 = num_expr(rng, &[], 2);
     let h2 = num_expr(rng, &[], 2);
+    let h3 = concat_chain(rng, &["k"], true);
     format!(
         "global ga : number = {ga}
          global gb : number = {gb}
+         global gs : string = \"s\"
+         global gt : string = \"t\"
          fun inc(x: number): number pure {{ x + 1 }}
+         fun label(x: number): string pure {{ {label} }}
+         example joined = {example} expect {expect}
          page start() {{
              init {{ {init} }}
              render {{
@@ -189,6 +287,11 @@ fn arb_walk_program(rng: &mut Rng) -> String {
                      post \"k \" ++ k;
                      on tap {{ k := k + 1; gb := gb + k; }}
                  }}
+                 boxed {{
+                     post \"gt \" ++ gt;
+                     on tap {{ gt := {h3}; }}
+                 }}
+                 {render_concat}
              }}
          }}
          page detail(n : number) {{
@@ -440,6 +543,31 @@ fn walk_step(
     checked_run_to_stable(system, plan, step)
 }
 
+/// Every example probe of `program` — body and `expect` clause — must
+/// evaluate to the same value (or error) on the VM and the reference
+/// machine against `store`.
+fn check_examples(program: &Program, store: &Store, version: u64) -> Result<(), String> {
+    let vmp = program.vm().expect("checked programs compile to bytecode");
+    let mut scratch = vm::Scratch::new();
+    for (index, def) in program.examples().iter().enumerate() {
+        for (expect, expr) in [(false, Some(&def.body)), (true, def.expect.as_ref())] {
+            let Some(expr) = expr else { continue };
+            let vm_run = vm::run_example(&vmp, &mut scratch, store, version, FUEL, index, expect)
+                .expect("example slot exists");
+            let reference = smallstep::eval_pure(program, &mut store.clone(), REFERENCE_FUEL, expr)
+                .map(|out| out.value);
+            prop_assert_eq!(
+                dbg(&vm_run.result),
+                dbg(&reference),
+                "probe `{}` (expect={}) diverged",
+                def.name,
+                expect
+            );
+        }
+    }
+    Ok(())
+}
+
 fn lock_plan(plan: &std::sync::Mutex<FaultPlan>) -> std::sync::MutexGuard<'_, FaultPlan> {
     plan.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -520,8 +648,7 @@ fn vm_and_smallstep_agree_on_generated_bodies() {
                 REFERENCE_FUEL,
                 &[],
                 &page.render,
-            )
-            .expect("small-step render");
+            );
             let render_run = vm::transition_page_render(
                 &vmp,
                 &mut scratch,
@@ -534,24 +661,107 @@ fn vm_and_smallstep_agree_on_generated_bodies() {
                 Some(&mut vm_widgets),
                 None,
             );
-            let vm_root = render_run.result.expect("vm render");
-            let ss_root = ss_render.root.expect("box content");
-            // Byte identity — handler closures and their captured
-            // environments included.
-            prop_assert_eq!(
-                dbg(vm_root.without_provenance()),
-                dbg(&ss_root),
-                "frame bytes"
-            );
+            match (render_run.result, ss_render) {
+                (Ok(vm_root), Ok(ss_render)) => {
+                    let ss_root = ss_render.root.expect("box content");
+                    // Byte identity — handler closures and their
+                    // captured environments included.
+                    prop_assert_eq!(
+                        dbg(vm_root.without_provenance()),
+                        dbg(&ss_root),
+                        "frame bytes"
+                    );
+                    prop_assert_eq!(
+                        render_run.cost.prim,
+                        ss_render.prim,
+                        "render prim accounting"
+                    );
+                }
+                // A faulting `++` operand: the same error on both.
+                (Err(vm_error), Err(ss_error)) => {
+                    prop_assert_eq!(dbg(&vm_error), dbg(&ss_error), "render faults")
+                }
+                (vm_out, ss_out) => {
+                    return Err(format!(
+                        "render outcomes: vm {:?}, reference {:?}",
+                        vm_out.map(|_| ()),
+                        ss_out.map(|_| ())
+                    ))
+                }
+            }
             prop_assert_eq!(dbg(&vm_widgets), dbg(&ss_widgets), "view state");
-            prop_assert_eq!(
-                render_run.cost.prim,
-                ss_render.prim,
-                "render prim accounting"
-            );
-            Ok(())
+            check_examples(&program, &vm_store, 0)
         },
     );
+}
+
+/// The checker's frame bound and the compiler agree on a 300-operand
+/// `++` chain — three parenthesised 100-operand runs, which the parser's
+/// nesting budget admits and the compiler fuses into one instruction:
+/// the program checks, compiles (the compiler's debug assertion holds
+/// its frame to the checker's bound), and renders the reference's text.
+#[test]
+fn checker_and_compiler_agree_on_a_300_operand_chain() {
+    let run = |group: usize| {
+        (0..100)
+            .map(|i| match i % 4 {
+                0 => format!("\"s{group}.{i}\""),
+                1 => format!("{i}"),
+                2 => "ga".to_string(),
+                _ => "(ga > 2)".to_string(),
+            })
+            .collect::<Vec<_>>()
+            .join(" ++ ")
+    };
+    let chain = format!("({}) ++ ({}) ++ ({})", run(0), run(1), run(2));
+    let src = format!(
+        "global ga : number = 3
+         page start() {{ render {{ boxed {{ post {chain}; }} }} }}"
+    );
+    // The reference machine recurses per term level: give it the
+    // evaluator's stack.
+    std::thread::Builder::new()
+        .stack_size(vm::EVAL_STACK_BYTES)
+        .spawn(move || {
+            let program = compile(&src).expect("the checker accepts a 300-operand chain");
+            let vmp = program
+                .vm()
+                .expect("the compiler accepts what the checker did");
+            let page = program.page("start").expect("page");
+            let mut scratch = vm::Scratch::new();
+            let store = Store::new();
+            let run = vm::transition_page_render(
+                &vmp,
+                &mut scratch,
+                &store,
+                0,
+                FUEL,
+                "start",
+                &[],
+                None,
+                None,
+                None,
+            );
+            let vm_root = run.result.expect("vm render");
+            let reference = smallstep::run(
+                &program,
+                &mut store.clone(),
+                Effect::Render,
+                Host::default(),
+                REFERENCE_FUEL,
+                &[],
+                &page.render,
+            )
+            .expect("reference render");
+            assert_eq!(
+                dbg(vm_root.without_provenance()),
+                dbg(reference.root.expect("box content"))
+            );
+            assert!(dbg(&vm_root).contains("s2.96973true"), "{vm_root:?}");
+        })
+        .expect("spawn")
+        .join()
+        .expect("300-operand chain agrees");
 }
 
 // ---------------------------------------------------------------------
@@ -678,35 +888,7 @@ fn vm_system_walk_matches_smallstep_on_every_corpus_program() {
 
                 // Example probes: VM vs reference values against the
                 // walked (not initial) store.
-                let vmp = program.vm().expect("corpus programs compile to bytecode");
-                let mut scratch = vm::Scratch::new();
-                for (index, def) in program.examples().iter().enumerate() {
-                    for (expect, expr) in [(false, Some(&def.body)), (true, def.expect.as_ref())] {
-                        let Some(expr) = expr else { continue };
-                        let vm_run = vm::run_example(
-                            &vmp,
-                            &mut scratch,
-                            system.store(),
-                            system.version(),
-                            FUEL,
-                            index,
-                            expect,
-                        )
-                        .expect("example slot exists");
-                        let mut store = system.store().clone();
-                        let reference =
-                            smallstep::eval_pure(&program, &mut store, REFERENCE_FUEL, expr)
-                                .map(|out| out.value);
-                        prop_assert_eq!(
-                            dbg(&vm_run.result),
-                            dbg(&reference),
-                            "probe `{}` (expect={}) diverged",
-                            def.name,
-                            expect
-                        );
-                    }
-                }
-                Ok(())
+                check_examples(&program, system.store(), system.version())
             },
         );
     }

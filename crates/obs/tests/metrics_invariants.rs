@@ -225,11 +225,15 @@ fn host_snapshot_is_the_sum_of_sessions_under_concurrent_load() {
 
     // One driver thread per CPU hammers its own session while a reader
     // thread snapshots the host continuously, checking the torn-read
-    // direction on every histogram it ever sees.
+    // direction on every histogram it ever sees. The drivers start only
+    // once the reader has published its first snapshot, so the reader
+    // is guaranteed to overlap the load however the OS schedules it.
     let stop = AtomicBool::new(false);
+    let reading = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let host = &host;
         let stop = &stop;
+        let reading = &reading;
         let reader = scope.spawn(move || {
             let mut snapshots_taken = 0u64;
             while !stop.load(Ordering::Acquire) {
@@ -243,11 +247,15 @@ fn host_snapshot_is_the_sum_of_sessions_under_concurrent_load() {
                     );
                 }
                 snapshots_taken += 1;
+                reading.store(true, Ordering::Release);
             }
             snapshots_taken
         });
         for id in &ids {
             scope.spawn(move || {
+                while !reading.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
                 for step in 0..COMMANDS_PER_SESSION {
                     let command = if step % 3 == 0 {
                         SessionCommand::Frame

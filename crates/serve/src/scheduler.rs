@@ -82,12 +82,16 @@ impl Scheduler {
     /// the ready-queue high-water gauge).
     pub(crate) fn enqueue(&self, id: u64) -> usize {
         let shard = (id as usize) % self.shards.len();
-        lock(&self.shards[shard]).push_back(id);
-        // `pending` must be visible before `sleepers` is read: a parker
-        // that misses this increment is guaranteed to be seen here (or
-        // to re-check pending after publishing itself) — SeqCst on both
-        // sides makes the two orderings impossible to miss together.
+        // Count the id *before* it becomes claimable: a worker may pop
+        // it the moment the shard lock drops, and its decrement must
+        // never run ahead of this increment (`pending` would wrap).
+        // `pending` must also be visible before `sleepers` is read: a
+        // parker that misses this increment is guaranteed to be seen
+        // here (or to re-check pending after publishing itself) —
+        // SeqCst on both sides makes the two orderings impossible to
+        // miss together.
         let len = self.pending.fetch_add(1, Ordering::SeqCst) + 1;
+        lock(&self.shards[shard]).push_back(id);
         if self.sleepers.load(Ordering::SeqCst) > 0 {
             // Taking the sleep lock orders this notify against the
             // parker: it either runs before the parker's final check
@@ -228,6 +232,48 @@ mod tests {
         // the worker must claim it.
         sched.enqueue(42);
         assert_eq!(worker.join().expect("worker exits"), 42);
+    }
+
+    #[test]
+    fn pending_never_underflows_under_a_racing_claimer() {
+        // One enqueuer and one spinning claimer on a single shard: the
+        // claimer pops each id as soon as it is queued, so any window
+        // in which an id is claimable but not yet counted shows up as
+        // `pending` wrapping below zero.
+        const IDS: u64 = 200_000;
+        let sched = Scheduler::new(1);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let claimer = scope.spawn(|| {
+                let mut claimed = 0;
+                while claimed < IDS && !stop.load(Ordering::SeqCst) {
+                    match sched.try_claim(0) {
+                        Some(claim) => {
+                            assert_eq!(claim.id, claimed, "claims are FIFO");
+                            claimed += 1;
+                        }
+                        None => std::hint::spin_loop(),
+                    }
+                }
+                claimed
+            });
+            let enqueued = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for id in 0..IDS {
+                    let len = sched.enqueue(id);
+                    assert!(
+                        (1..=IDS as usize).contains(&len),
+                        "pending read {len} after enqueueing id {id}"
+                    );
+                }
+            }));
+            if let Err(panic) = enqueued {
+                stop.store(true, Ordering::SeqCst);
+                let _ = claimer.join();
+                std::panic::resume_unwind(panic);
+            }
+            assert_eq!(claimer.join().expect("claimer exits"), IDS);
+        });
+        assert_eq!(sched.pending.load(Ordering::SeqCst), 0);
     }
 
     #[test]
