@@ -71,7 +71,6 @@ fn main() {
     let mut session = match LiveSession::observed(
         &source,
         alive_core::system::SystemConfig::default(),
-        false,
         &registry,
     ) {
         Ok(s) => s,

@@ -1,7 +1,7 @@
 //! E8 — per-model-change view maintenance cost across architectures:
 //! retained-MVC targeted updates (hand-written rules), retained-MVC
-//! full rebuild, immediate-mode full re-render (the paper's approach),
-//! and immediate-mode with the §5 reuse cache. The paper's position:
+//! full rebuild, and immediate-mode full re-render (the paper's
+//! approach). The paper's position:
 //! the retained approach is the fastest per update but requires
 //! dangerous hand-written view-update code; immediate mode trades a
 //! bounded render cost for correctness by construction.
@@ -45,15 +45,9 @@ fn main() {
             app.model.selected = i % n;
             std::hint::black_box(build_listings_view(&app.model));
         });
-        let mut session = feed_session(n, false);
+        let mut session = feed_session(n);
         let mut i = 0usize;
         bench.bench(&format!("immediate_naive/{n}"), || {
-            feed_touch(&mut session, i);
-            i += 1;
-        });
-        let mut session = feed_session(n, true);
-        let mut i = 0usize;
-        bench.bench(&format!("immediate_memo/{n}"), || {
             feed_touch(&mut session, i);
             i += 1;
         });

@@ -65,7 +65,6 @@ fn main() {
                 &[],
                 None,
                 None,
-                None,
             );
             black_box(run.result.expect("runs"))
         });

@@ -242,7 +242,6 @@ fn measure(name: &str, src: &str, runs: usize) -> Workload {
             FUEL,
             "start",
             &[],
-            None,
             Some(&mut widgets),
             None,
         );

@@ -1,6 +1,5 @@
 //! E-frame — the frame pipeline: one interaction plus one frame read
-//! (tap + frame) on the gallery and feed workloads, with the §5 memo
-//! off and on.
+//! (tap + frame) on the gallery and feed workloads.
 //!
 //! Every frame is laid out once from scratch and painted in full; the
 //! bench checks at every step that the live view is byte-identical to
@@ -20,7 +19,7 @@ const N: usize = 64;
 const STEPS: usize = 24;
 
 type Step = fn(&mut LiveSession, usize);
-type MakeSession = fn(usize, bool) -> LiveSession;
+type MakeSession = fn(usize) -> LiveSession;
 
 /// One steady-state gallery step: tap the already-selected tile. The
 /// display is invalidated and re-rendered, but no subtree changes.
@@ -40,15 +39,14 @@ struct Counters {
 }
 
 impl Counters {
-    fn to_json(&self, name: &str, memo: bool) -> String {
+    fn to_json(&self, name: &str) -> String {
         let frames = self.frames.max(1) as f64;
         format!(
             concat!(
-                "{{\"workload\":\"{}\",\"memo\":{},\"frames\":{},\"layouts\":{},",
+                "{{\"workload\":\"{}\",\"frames\":{},\"layouts\":{},",
                 "\"boxes_per_frame\":{:.1},\"cells_per_frame\":{:.1},\"byte_identity\":{}}}"
             ),
             name,
-            memo,
             self.frames,
             self.layouts,
             self.boxes as f64 / frames,
@@ -92,24 +90,21 @@ fn main() {
     let mut reports = Vec::new();
     let mut diverged = Vec::new();
     for (label, make, step_fn) in workloads {
-        for memo in [false, true] {
-            let name = format!("{label}/{N}");
-            let counters = count_steps(&mut make(N, memo), step_fn);
-            if !counters.byte_identity {
-                diverged.push(format!("{name} memo={memo}"));
-            }
-            reports.push(counters.to_json(&name, memo));
-
-            let mut session = make(N, memo);
-            session.live_view();
-            let mut step = 0usize;
-            let memo_label = if memo { "memo" } else { "plain" };
-            bench.bench(&format!("tap_frame/{memo_label}/{name}"), || {
-                step_fn(&mut session, step);
-                step += 1;
-                black_box(session.live_view())
-            });
+        let name = format!("{label}/{N}");
+        let counters = count_steps(&mut make(N), step_fn);
+        if !counters.byte_identity {
+            diverged.push(name.clone());
         }
+        reports.push(counters.to_json(&name));
+
+        let mut session = make(N);
+        session.live_view();
+        let mut step = 0usize;
+        bench.bench(&format!("tap_frame/plain/{name}"), || {
+            step_fn(&mut session, step);
+            step += 1;
+            black_box(session.live_view())
+        });
     }
 
     // Emit the machine-readable report before `finish` consumes the

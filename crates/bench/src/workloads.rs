@@ -30,26 +30,16 @@ pub fn mortgage_restart_on_detail(n: usize) -> RestartSession {
     s
 }
 
-/// A live session on the synthetic gallery with `n` tiles, optionally
-/// with the §5 render cache. Dependency-dense: every tile reads the
-/// `selected` global.
-pub fn gallery_session(n: usize, memo: bool) -> LiveSession {
-    session_of(&gallery::gallery_src(n), memo)
+/// A live session on the synthetic gallery with `n` tiles.
+/// Dependency-dense: every tile reads the `selected` global.
+pub fn gallery_session(n: usize) -> LiveSession {
+    LiveSession::new(&gallery::gallery_src(n)).expect("compiles")
 }
 
-/// A live session on the synthetic feed with `n` rows, optionally with
-/// the §5 render cache. Dependency-sparse: each row reads only its own
-/// item.
-pub fn feed_session(n: usize, memo: bool) -> LiveSession {
-    session_of(&gallery::feed_src(n), memo)
-}
-
-fn session_of(src: &str, memo: bool) -> LiveSession {
-    if memo {
-        LiveSession::with_memo(src).expect("compiles")
-    } else {
-        LiveSession::new(src).expect("compiles")
-    }
+/// A live session on the synthetic feed with `n` rows.
+/// Dependency-sparse: each row reads only its own item.
+pub fn feed_session(n: usize) -> LiveSession {
+    LiveSession::new(&gallery::feed_src(n)).expect("compiles")
 }
 
 /// One selection change on a gallery session: tap a rotating tile,
@@ -93,18 +83,14 @@ mod tests {
             Some("detail")
         );
 
-        // Sparse feed: taps reuse untouched rows.
-        let mut f = feed_session(8, true);
+        // Sparse feed: each tap bumps row 0's value.
+        let mut f = feed_session(8);
+        let before = f.live_view();
         feed_touch(&mut f, 0);
         feed_touch(&mut f, 1);
-        assert!(f.memo_stats().expect("memo on").hits > 0);
-        // Memoized and plain sessions show identical views.
-        let mut plain = feed_session(8, false);
-        feed_touch(&mut plain, 0);
-        feed_touch(&mut plain, 1);
-        assert_eq!(f.live_view(), plain.live_view());
-        // Dense gallery: selection changes invalidate every tile.
-        let mut g = gallery_session(8, true);
+        assert_ne!(f.live_view(), before);
+        // Dense gallery: a tap changes the selection every tile reads.
+        let mut g = gallery_session(8);
         gallery_select_next(&mut g, 0);
         assert!(g.live_view().contains("selected: 0"));
     }

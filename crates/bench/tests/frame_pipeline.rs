@@ -148,8 +148,8 @@ fn tap_tile(
 
 fn walk(seed: u64) -> Result<(), String> {
     let mut rng = Rng::new(seed);
-    let mut gallery = gallery_session(TILES, true);
-    let mut feed = feed_session(TILES, true);
+    let mut gallery = gallery_session(TILES);
+    let mut feed = feed_session(TILES);
     for step in 0..STEPS {
         {
             let (session, w) = if rng.gen_bool() {

@@ -24,9 +24,9 @@ pub enum BoxItem {
     Leaf(Value, Option<Provenance>),
     /// `B [a = v]` — an attribute setting, with the origin of the value.
     Attr(Attr, Value, Option<Provenance>),
-    /// `B ⟨B⟩` — a nested box. Children are reference-counted so that
-    /// unchanged subtrees can be *shared* across frames: a memo-cache
-    /// splice is an O(1) pointer copy.
+    /// `B ⟨B⟩` — a nested box. Children are reference-counted, so
+    /// cloning a tree bumps its children's counts instead of copying
+    /// their subtrees.
     Child(Arc<BoxNode>),
 }
 

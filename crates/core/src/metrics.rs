@@ -31,7 +31,7 @@ pub mod names {
     pub const TRANSITIONS_PUSH: &str = "system.transitions.push";
     /// POP transitions performed.
     pub const TRANSITIONS_POP: &str = "system.transitions.pop";
-    /// RENDER transitions performed (including hooked renders).
+    /// RENDER transitions performed.
     pub const TRANSITIONS_RENDER: &str = "system.transitions.render";
     /// Successful UPDATE transitions (live code swaps).
     pub const UPDATES: &str = "system.updates";

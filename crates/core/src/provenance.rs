@@ -9,7 +9,7 @@
 //!
 //! Provenance is carried on [`crate::boxtree::BoxItem`] leaves and
 //! attributes, but deliberately **excluded from equality**: frames
-//! compare by value across memo splices and against the small-step
+//! compare by value across renders and against the small-step
 //! reference machine, which substitutes environments away by design and
 //! tags nothing. Only the VM tags, deriving each environment from the
 //! [`free_locals`] function below at compile time. The oracle for the

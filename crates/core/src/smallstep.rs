@@ -1448,7 +1448,6 @@ mod tests {
             &[],
             None,
             None,
-            None,
         )
         .result
         .expect("vm renders");

@@ -26,7 +26,7 @@ use crate::program::{Program, START_PAGE};
 use crate::store::Store;
 use crate::types::Name;
 use crate::value::Value;
-use crate::vm::{Cost, RenderHook, VmProgram, DEFAULT_FUEL};
+use crate::vm::{Cost, VmProgram, DEFAULT_FUEL};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -562,7 +562,7 @@ impl System {
         if matches!(self.display, Display::Invalid) {
             if let Some((page_name, _)) = self.page_stack.last() {
                 let page_name = page_name.clone();
-                return match self.render_transition(None) {
+                return match self.render_transition() {
                     Ok(()) => {
                         self.record_transition(StepKind::Render);
                         Ok(StepKind::Render)
@@ -577,15 +577,12 @@ impl System {
         Ok(StepKind::Stable)
     }
 
-    /// The RENDER transition body, shared by [`System::step`] and
-    /// [`System::render_with_hook`]. On success the display is valid
-    /// and `last_good` updated; on error the `remember` slots are
-    /// rolled back and the error returned with the cost it burned (the
-    /// display is left untouched for the caller to degrade).
-    fn render_transition(
-        &mut self,
-        hook: Option<&mut (dyn RenderHook + 'static)>,
-    ) -> Result<(), (RuntimeError, Cost, u64)> {
+    /// The RENDER transition body of [`System::step`]. On success the
+    /// display is valid and `last_good` updated; on error the
+    /// `remember` slots are rolled back and the error returned with the
+    /// cost it burned (the display is left untouched for the caller to
+    /// degrade).
+    fn render_transition(&mut self) -> Result<(), (RuntimeError, Cost, u64)> {
         let Some((page_name, arg)) = self.page_stack.last().cloned() else {
             return Err((
                 RuntimeError::Internal("RENDER with an empty page stack"),
@@ -617,7 +614,6 @@ impl System {
             fuel,
             &page_name,
             &bindings,
-            hook,
             Some(&mut self.widgets),
             guard.as_deref_mut().map(|g| g as &mut dyn FaultInjector),
         );
@@ -668,8 +664,8 @@ impl System {
     /// display to the last good tree, and return the structured
     /// [`FaultKind::CascadeOverflow`] fault. Used by
     /// [`System::run_to_stable`] when its transition budget runs out,
-    /// and by external drivers (e.g. a memoizing render loop) that
-    /// enforce the same bound while stepping the system themselves.
+    /// and by external drivers that enforce the same bound while
+    /// stepping the system themselves.
     pub fn contain_overflow(&mut self) -> Fault {
         self.queue.clear();
         self.degrade_display();
@@ -875,40 +871,6 @@ impl System {
         self.store = store;
         self.set_display(Display::Invalid);
         Ok(report)
-    }
-
-    /// Perform the RENDER transition with a [`RenderHook`]
-    /// intercepting `boxed` evaluation — the §5 reuse optimization.
-    /// Does nothing (returns `false`) if the display is not `⊥`, the
-    /// queue is non-empty, or the page stack is empty (i.e. RENDER is
-    /// not the enabled transition).
-    ///
-    /// # Errors
-    ///
-    /// A contained [`Fault`] — transactional like [`System::step`]'s
-    /// RENDER: `remember` slots roll back and the display degrades to
-    /// the last good tree.
-    pub fn render_with_hook(
-        &mut self,
-        hook: &mut (dyn RenderHook + 'static),
-    ) -> Result<bool, Fault> {
-        if !matches!(self.display, Display::Invalid) || !self.queue.is_empty() {
-            return Ok(false);
-        }
-        let Some((page_name, _)) = self.page_stack.last() else {
-            return Ok(false);
-        };
-        let page_name = page_name.clone();
-        match self.render_transition(Some(hook)) {
-            Ok(()) => {
-                self.record_transition(StepKind::Render);
-                Ok(true)
-            }
-            Err((error, cost, fuel)) => {
-                self.degrade_display();
-                Err(self.fault(FaultKind::Render, Some(page_name), error, cost, fuel))
-            }
-        }
     }
 
     /// Mutable access to the store, for tests that need to corrupt or

@@ -5,8 +5,7 @@
 //! The compile-time binding stack (`FnCompiler::binds`) is a flat list
 //! of `(name, register)` pairs — the flattened scope chain: shadowed
 //! entries stay on the stack and lookups resolve innermost-last — so a
-//! closure captures, and a render hook sees, every visible binding,
-//! outermost first.
+//! closure captures every visible binding, outermost first.
 //!
 //! Anything the compiler cannot resolve (unresolvable names or
 //! over-capacity frames in programs that bypassed the type checker)
@@ -82,7 +81,6 @@ struct Builder<'p> {
     consts: Vec<Value>,
     const_cache: HashMap<ConstKey, u32>,
     lambdas: Vec<LambdaInfo>,
-    captures: Vec<Arc<[(u32, Reg)]>>,
     provs: Vec<ProvSpec>,
     globals: Vec<GlobalSlot>,
     global_idx: HashMap<Name, u32>,
@@ -135,12 +133,6 @@ impl Builder<'_> {
             self.const_cache.insert(k, i);
         }
         Ok(i)
-    }
-
-    fn capture_set(&mut self, set: Vec<(u32, Reg)>) -> u32 {
-        let i = self.captures.len() as u32;
-        self.captures.push(set.into());
-        i
     }
 
     fn prov_spec(&mut self, spec: ProvSpec) -> u32 {
@@ -289,8 +281,7 @@ fn param_binds(params: &[ParamSig]) -> Result<Vec<(Name, Reg)>, CompileError> {
 /// May `e` be compiled directly into a destination register that holds
 /// a *live binding*? True only when the generated code writes the
 /// destination as its final step, so no read of the old value (by the
-/// expression itself, a closure capture, or a render-hook capture list)
-/// can observe a partial write. `&&`/`||` write the destination early
+/// expression itself or a closure capture) can observe a partial write. `&&`/`||` write the destination early
 /// (the left operand's value is the short-circuit result), so they and
 /// anything not explicitly listed get a temporary + move instead.
 fn writes_only_at_end(e: &Expr) -> bool {
@@ -379,7 +370,6 @@ impl FnCompiler<'_, '_> {
             | Instr::JumpIfFalse { to: t, .. }
             | Instr::JumpIfTrue { to: t, .. }
             | Instr::IterNext { exit: t, .. }
-            | Instr::BoxEnter { skip: t, .. }
             | Instr::RememberBind { done: t, .. },
         ) = self.code.get_mut(at as usize)
         {
@@ -705,21 +695,9 @@ impl FnCompiler<'_, '_> {
             ExprKind::Boxed(id, body) => {
                 let w = self.save();
                 let d = self.sink(dst)?;
-                let cap = self.capture_current();
-                let be = self.here();
-                self.push(Instr::BoxEnter {
-                    id: id.0,
-                    cap,
-                    dst: d,
-                    skip: PENDING,
-                });
+                self.push(Instr::BoxEnter { id: id.0 });
                 self.emit(body, Some(d))?;
-                self.push(Instr::BoxExit {
-                    id: id.0,
-                    cap,
-                    src: d,
-                });
-                self.patch(be);
+                self.push(Instr::BoxExit);
                 self.restore(w);
                 Ok(())
             }
@@ -969,20 +947,6 @@ impl FnCompiler<'_, '_> {
         self.b.prov_spec(spec)
     }
 
-    /// The current binding stack as a `(symbol, register)` capture set:
-    /// every visible binding, outermost first, resolved at compile time.
-    fn capture_current(&mut self) -> u32 {
-        let mut set = Vec::with_capacity(self.binds.len());
-        for i in 0..self.binds.len() {
-            let Some((n, r)) = self.binds.get(i).cloned() else {
-                break;
-            };
-            let sym = self.b.sym(&n);
-            set.push((sym, r));
-        }
-        self.b.capture_set(set)
-    }
-
     fn compile_lambda(&mut self, lam: &LambdaExpr) -> Result<u32, CompileError> {
         let ptr = Arc::as_ptr(&lam.body) as usize;
         if let Some(&l) = self.b.by_body.get(&ptr) {
@@ -1030,7 +994,6 @@ pub(crate) fn compile_program(p: &Program) -> Result<VmProgram, CompileError> {
         consts: Vec::new(),
         const_cache: HashMap::new(),
         lambdas: Vec::new(),
-        captures: Vec::new(),
         provs: Vec::new(),
         globals: Vec::new(),
         global_idx: HashMap::new(),
@@ -1132,7 +1095,6 @@ pub(crate) fn compile_program(p: &Program) -> Result<VmProgram, CompileError> {
     vmp.chunks = b.chunks;
     vmp.consts = b.consts;
     vmp.lambdas = b.lambdas;
-    vmp.captures = b.captures;
     vmp.provs = b.provs;
     vmp.globals = b.globals;
     vmp.examples = examples;

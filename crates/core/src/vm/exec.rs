@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use super::{apply_binop, Cost, RenderHook, MAX_CALL_DEPTH};
+use super::{apply_binop, Cost, MAX_CALL_DEPTH};
 use crate::boxtree::{BoxItem, BoxNode};
 use crate::error::RuntimeError;
 use crate::event::{Event, EventQueue};
@@ -96,7 +96,6 @@ struct Vm<'a> {
     instructions: u64,
     /// Native call nesting of this run (see [`MAX_CALL_DEPTH`]).
     depth: u32,
-    hook: Option<&'a mut (dyn RenderHook + 'static)>,
     widgets: Option<&'a mut WidgetStore>,
     faults: Option<&'a mut (dyn FaultInjector + 'static)>,
 }
@@ -109,7 +108,7 @@ const BAD_CODE: RuntimeError = RuntimeError::Internal("vm: malformed bytecode");
 const FOREIGN: RuntimeError = RuntimeError::Internal("vm: closure from another program version");
 
 impl<'a> Vm<'a> {
-    /// A run in `mode` over `store`, with no queue, hook, widget store
+    /// A run in `mode` over `store`, with no queue, widget store
     /// or fault injector (entry points add theirs).
     fn base(
         vmp: &'a VmProgram,
@@ -131,7 +130,6 @@ impl<'a> Vm<'a> {
             cost: Cost::default(),
             instructions: 0,
             depth: 0,
-            hook: None,
             widgets: None,
             faults: None,
         }
@@ -168,9 +166,9 @@ impl<'a> Vm<'a> {
 
     /// Snapshot the registers of a compile-time `(symbol, register)`
     /// set, relative to the window at `base`, in one allocation: a
-    /// closure environment, a provenance record's free locals, or the
-    /// locals a render hook sees. Every index is checked first, so the
-    /// collect runs over an exact-size iterator and allocates once.
+    /// closure environment or a provenance record's free locals. Every
+    /// index is checked first, so the collect runs over an exact-size
+    /// iterator and allocates once.
     fn snapshot(&self, base: usize, set: &[(u32, Reg)]) -> Result<CapturedEnv, RuntimeError> {
         let syms = &self.vmp.syms;
         let regs = self.scratch.window(base)?;
@@ -185,13 +183,6 @@ impl<'a> Vm<'a> {
             .iter()
             .map(|&(sym, r)| (syms[sym as usize].clone(), regs[r as usize].clone()))
             .collect())
-    }
-
-    /// The render-hook capture set `cap`, snapshotted at `base`: the
-    /// visible local environment, outermost first, shadowed included.
-    fn capture_locals(&self, base: usize, cap: u32) -> Result<CapturedEnv, RuntimeError> {
-        let set = self.vmp.captures.get(cap as usize).ok_or(BAD_CODE)?;
-        self.snapshot(base, set)
     }
 
     /// Materialize a compile-time [`ProvSpec`] into a runtime
@@ -454,46 +445,25 @@ impl<'a> Vm<'a> {
                         })?;
                     queue.enqueue(Event::Pop);
                 }
-                Instr::BoxEnter { id, cap, dst, skip } => {
-                    // ER-BOXED, including the §5 reuse-hook splice.
+                Instr::BoxEnter { id } => {
+                    // ER-BOXED.
                     if self.mode != Effect::Render || self.boxes.is_empty() {
                         return Err(RuntimeError::EffectViolation {
                             op: "boxed",
                             mode: self.mode,
                         });
                     }
-                    let bid = BoxSourceId(id);
-                    if self.hook.is_some() {
-                        let locals = self.capture_locals(base, cap)?;
-                        let cached = match self.hook.as_deref_mut() {
-                            Some(hook) => hook.enter_boxed(bid, &locals),
-                            None => None,
-                        };
-                        if let Some((node, value)) = cached {
-                            self.cost.boxes_reused += node.box_count() as u64;
-                            self.parent_frame()?.items.push(BoxItem::Child(node));
-                            self.scratch.set(base + dst as usize, value)?;
-                            pc = skip as usize;
-                            continue;
-                        }
-                    }
                     self.cost.boxes_created += 1;
-                    self.boxes.push(BoxNode::new(Some(bid)));
+                    self.boxes.push(BoxNode::new(Some(BoxSourceId(id))));
                 }
-                Instr::BoxExit { id, cap, src } => {
+                Instr::BoxExit => {
                     let node = self
                         .boxes
                         .pop()
                         .ok_or(RuntimeError::Internal("boxed frame missing"))?;
-                    let value = self.scratch.get(base + src as usize)?.clone();
-                    let node = Arc::new(node);
-                    if self.hook.is_some() {
-                        let locals = self.capture_locals(base, cap)?;
-                        if let Some(hook) = self.hook.as_deref_mut() {
-                            hook.after_boxed(BoxSourceId(id), &locals, &node, &value);
-                        }
-                    }
-                    self.parent_frame()?.items.push(BoxItem::Child(node));
+                    self.parent_frame()?
+                        .items
+                        .push(BoxItem::Child(Arc::new(node)));
                 }
                 Instr::PostLeaf { src, prov } => {
                     let v = self.scratch.get(base + src as usize)?.clone();
@@ -956,7 +926,6 @@ pub fn transition_page_render(
     fuel: u64,
     page: &str,
     bindings: &[(Name, Value)],
-    hook: Option<&mut (dyn RenderHook + 'static)>,
     widgets: Option<&mut WidgetStore>,
     faults: Option<&mut (dyn FaultInjector + 'static)>,
 ) -> VmRun<BoxNode> {
@@ -970,7 +939,6 @@ pub fn transition_page_render(
     let run = {
         let mut vm = Vm {
             boxes: spine,
-            hook,
             widgets,
             faults,
             ..Vm::base(

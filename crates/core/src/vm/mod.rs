@@ -54,9 +54,8 @@ use alive_syntax::ast::BinOp;
 use alive_syntax::Span;
 
 use crate::attr::Attr;
-use crate::boxtree::BoxNode;
 use crate::error::RuntimeError;
-use crate::expr::{BoxSourceId, Expr};
+use crate::expr::Expr;
 use crate::prim::PrimCtx;
 use crate::program::Program;
 use crate::types::{Effect, Name};
@@ -91,8 +90,6 @@ pub struct Cost {
     pub steps: u64,
     /// Boxes created by `boxed`.
     pub boxes_created: u64,
-    /// Boxes spliced from the reuse cache instead of re-evaluated.
-    pub boxes_reused: u64,
     /// Leaves posted by `post`.
     pub posts: u64,
     /// Simulated external latency and request counts.
@@ -104,37 +101,10 @@ impl Cost {
     pub fn absorb(&mut self, other: Cost) {
         self.steps += other.steps;
         self.boxes_created += other.boxes_created;
-        self.boxes_reused += other.boxes_reused;
         self.posts += other.posts;
         self.prim.simulated_ms += other.prim.simulated_ms;
         self.prim.web_requests += other.prim.web_requests;
     }
-}
-
-/// Interception points around `boxed` evaluation, used by the paper's
-/// §5 box-tree reuse optimization ("reuse box tree elements that have
-/// not changed").
-pub trait RenderHook {
-    /// Called when entering `boxed e`. Returning `Some((node, value))`
-    /// skips evaluating the body and splices the cached subtree in —
-    /// an O(1) pointer copy, since children are `Arc`-shared.
-    /// `locals` is the visible local environment, outermost first.
-    fn enter_boxed(
-        &mut self,
-        id: BoxSourceId,
-        locals: &[(Name, Value)],
-    ) -> Option<(Arc<BoxNode>, Value)>;
-
-    /// Called after a `boxed` body evaluated to `node` / `value`, so the
-    /// hook can populate its cache. The node is already shared; caching
-    /// it keeps the subtree pointer-identical on future splices.
-    fn after_boxed(
-        &mut self,
-        id: BoxSourceId,
-        locals: &[(Name, Value)],
-        node: &Arc<BoxNode>,
-        value: &Value,
-    );
 }
 
 /// Apply a (non-short-circuit) binary operator to values — shared by
@@ -310,16 +280,10 @@ pub(crate) enum Instr {
     PushEvent { page: u32, base: Reg, argc: u16 },
     /// Enqueue `Event::Pop` (carries its own mode/queue checks).
     PopEvent,
-    /// Open `boxed` frame `id`; on a render-hook cache hit, splice the
-    /// cached subtree, write the cached value to `dst`, and jump `skip`.
-    BoxEnter {
-        id: u32,
-        cap: u32,
-        dst: Reg,
-        skip: u32,
-    },
-    /// Close the current `boxed` frame; the body value is in `src`.
-    BoxExit { id: u32, cap: u32, src: Reg },
+    /// Open `boxed` frame `id`.
+    BoxEnter { id: u32 },
+    /// Close the current `boxed` frame.
+    BoxExit,
     /// `post` the value in `src` as a leaf of the open box. `prov`
     /// indexes the program's [`ProvSpec`] table; the executor
     /// materializes it into a [`crate::provenance::Provenance`] by
@@ -433,8 +397,6 @@ pub struct VmProgram {
     pub(crate) chunks: Vec<Chunk>,
     pub(crate) consts: Vec<Value>,
     pub(crate) lambdas: Vec<LambdaInfo>,
-    /// Render-hook capture sets for `boxed` sites.
-    pub(crate) captures: Vec<Arc<[(u32, Reg)]>>,
     /// Constant-provenance table indexed by the `prov` operand of
     /// `PostLeaf`/`SetAttr`.
     pub(crate) provs: Vec<ProvSpec>,
@@ -471,7 +433,6 @@ impl VmProgram {
             chunks: Vec::new(),
             consts: Vec::new(),
             lambdas: Vec::new(),
-            captures: Vec::new(),
             provs: Vec::new(),
             globals: Vec::new(),
             examples: Vec::new(),

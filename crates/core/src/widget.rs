@@ -20,8 +20,7 @@
 //!   code, preserving §4.2's no-stale-state story;
 //! * render code may only *read* slots (the view stays a function of
 //!   model + view-state); handlers (state code) may write them;
-//! * slot types are →-free, so slots can never smuggle stale code;
-//! * boxes using `remember` are never cached by the §5 memoizer.
+//! * slot types are →-free, so slots can never smuggle stale code.
 
 use crate::expr::RememberId;
 use crate::value::Value;

@@ -657,7 +657,6 @@ fn vm_and_smallstep_agree_on_generated_bodies() {
                 FUEL,
                 "start",
                 &[],
-                None,
                 Some(&mut vm_widgets),
                 None,
             );
@@ -738,7 +737,6 @@ fn checker_and_compiler_agree_on_a_300_operand_chain() {
                 FUEL,
                 "start",
                 &[],
-                None,
                 None,
                 None,
             );

@@ -13,8 +13,6 @@
 //! * **Direct manipulation & value repairs** ([`repair`]): change a box
 //!   attribute — or a rendered *value* — from the live view; the change
 //!   is inverted through provenance into ranked candidate code edits.
-//! * **Render memoization** ([`memo`]): the §5 optimization that reuses
-//!   box subtrees whose inputs have not changed.
 //! * **Frame pipeline** ([`pipeline`]): one from-scratch layout per
 //!   display generation, shared by paint and hit-testing, plus a
 //!   generation-keyed view memo, with [`pipeline::FrameStats`]
@@ -55,7 +53,6 @@
 pub mod editor;
 pub mod examples;
 pub mod fault_log;
-pub mod memo;
 pub mod metrics;
 pub mod navigation;
 pub mod pipeline;
@@ -67,7 +64,6 @@ pub mod trace;
 pub use editor::{highlight_line, split_view, Selection, SplitViewOptions};
 pub use examples::{ExampleProbe, ExampleStats, ProbeStatus};
 pub use fault_log::{FaultLog, FAULT_LOG_CAPACITY};
-pub use memo::{MemoCache, MemoStats, RenderDeps};
 pub use metrics::SessionMetrics;
 pub use navigation::{box_source_at, boxes_for_cursor, boxes_for_source, span_for_box};
 pub use pipeline::{FramePipeline, FrameStats};

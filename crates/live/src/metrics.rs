@@ -4,7 +4,7 @@
 //! Where [`alive_core::metrics::SystemMetrics`] counts what the
 //! transition machine does, [`SessionMetrics`] measures the developer
 //! experience on top of it: edit outcomes, undo/redo outcomes, and the
-//! frame pipeline's stage timings and memo reuse ratio — fed from
+//! frame pipeline's stage timings and painted cells — fed from
 //! [`crate::pipeline::FrameStats`] into latency histograms each time a
 //! frame is actually rendered.
 //!
@@ -46,8 +46,6 @@ pub mod names {
     /// Screen cells painted per rendered frame (every frame is a full
     /// paint).
     pub const FRAME_CELLS_REPAINTED: &str = "frame.cells_repainted";
-    /// Percent of `boxed` evaluations served by the memo per frame.
-    pub const FRAME_EVAL_REUSE_PCT: &str = "frame.eval_reuse_pct";
     /// Fleet UPDATEs applied to this session (host-pushed, pre-compiled).
     pub const FLEET_UPDATES: &str = "session.fleet.updates";
     /// Fleet UPDATEs reverted by the host's canary auto-rollback.
@@ -55,9 +53,6 @@ pub mod names {
     /// Fleet UPDATEs promoted (checkpoint dropped; the version stuck).
     pub const FLEET_PROMOTES: &str = "session.fleet.promotes";
 }
-
-/// Bucket bounds for percentage-valued histograms (the eval reuse ratio).
-const PCT_BOUNDS: &[u64] = &[10, 20, 30, 40, 50, 60, 70, 80, 90, 100];
 
 /// Bucket bounds for per-frame repainted-cell counts: spans a banner
 /// row (~tens of cells) to a full 80×24 screen and beyond.
@@ -82,7 +77,6 @@ pub struct SessionMetrics {
     frame_layout_us: Histogram,
     frame_paint_us: Histogram,
     frame_cells_repainted: Histogram,
-    frame_eval_reuse_pct: Histogram,
 }
 
 impl SessionMetrics {
@@ -106,8 +100,6 @@ impl SessionMetrics {
             frame_paint_us: registry.histogram(names::FRAME_PAINT_US),
             frame_cells_repainted: registry
                 .histogram_with_bounds(names::FRAME_CELLS_REPAINTED, CELL_BOUNDS),
-            frame_eval_reuse_pct: registry
-                .histogram_with_bounds(names::FRAME_EVAL_REUSE_PCT, PCT_BOUNDS),
         }
     }
 
@@ -174,10 +166,5 @@ impl SessionMetrics {
         self.frame_layout_us.record(stats.layout_us);
         self.frame_paint_us.record(stats.paint_us);
         self.frame_cells_repainted.record(stats.cells_repainted);
-        // The ratio is only meaningful when the memo saw any box.
-        if stats.eval_hits + stats.eval_misses > 0 {
-            self.frame_eval_reuse_pct
-                .record((stats.eval_reuse() * 100.0).round() as u64);
-        }
     }
 }

@@ -1,11 +1,9 @@
 //! The frame pipeline: one layout and one paint per display generation.
 //!
-//! The paper's §5 optimization — "reuse box tree elements that have not
-//! changed" — is implemented for *evaluation* by [`crate::memo`]. Past
-//! evaluation, a frame is cheap enough to build from scratch: the
-//! pipeline lays the display out with [`alive_ui::layout()`] and paints it
-//! with [`alive_ui::render_to_text`], with no cross-frame state beyond
-//! two results keyed by
+//! Every RENDER builds its box tree from scratch, and so does every
+//! frame: the pipeline lays the display out with [`alive_ui::layout()`]
+//! and paints it with [`alive_ui::render_to_text`], with no cross-frame
+//! state beyond two results keyed by
 //! [`alive_core::system::System::display_generation`]:
 //!
 //! * **The layout** of the latest generation asked for. Painting and
@@ -36,11 +34,6 @@ pub struct FrameStats {
     /// Layouts computed: at most one per display generation, shared by
     /// the frame's paint and any hit-test against it.
     pub layouts: u64,
-    /// `boxed` evaluations answered from the render memo cache
-    /// (lifetime total; zero when the session runs without a memo).
-    pub eval_hits: u64,
-    /// `boxed` evaluations that ran and populated the memo cache.
-    pub eval_misses: u64,
     /// Boxes laid out for the last frame.
     pub nodes_measured: u64,
     /// Boxes whose layout was reused from an earlier frame: always zero,
@@ -52,8 +45,7 @@ pub struct FrameStats {
     /// Total screen cells (width × height) last frame.
     pub cells_total: u64,
     /// Microseconds the RENDER transition that produced the last frame
-    /// spent evaluating. Zero here; [`crate::LiveSession`] stamps it,
-    /// like the `eval_*` counters.
+    /// spent evaluating. Zero here; [`crate::LiveSession`] stamps it.
     pub eval_us: u64,
     /// The slice of [`FrameStats::eval_us`] spent compiling bytecode
     /// (zero once the VM cache is warm). Stamped by
@@ -70,18 +62,6 @@ pub struct FrameStats {
     pub layout_us: u64,
     /// Microseconds spent painting the last frame.
     pub paint_us: u64,
-}
-
-impl FrameStats {
-    /// Fraction of `boxed` evaluations served by the memo cache, 0–1.
-    pub fn eval_reuse(&self) -> f64 {
-        let total = self.eval_hits + self.eval_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.eval_hits as f64 / total as f64
-        }
-    }
 }
 
 /// A layout together with the generation it lays out and its cost.
@@ -129,8 +109,8 @@ impl FramePipeline {
     }
 
     /// The observability counters (last frame + lifetime totals). The
-    /// `eval_*` fields are zero here; [`crate::LiveSession`] stamps them
-    /// from its memo cache.
+    /// `eval_*` and `vm_cache_hits` fields are zero here;
+    /// [`crate::LiveSession`] stamps them.
     pub fn stats(&self) -> FrameStats {
         self.stats
     }

@@ -487,13 +487,9 @@ impl LiveSession {
 pub fn format_frame_stats(stats: &FrameStats) -> String {
     format!(
         "frame pipeline (last frame):\n\
-         \x20 eval reuse:   {:>5.1}%  ({} hits, {} misses)\n\
          \x20 frame:        {} boxes laid out, {} cells painted\n\
          \x20 stage time:   eval {} µs (compile {} + run {}), layout {} µs, paint {} µs\n\
          \x20 lifetime:     {} frames rendered, {} layouts, {} view-memo hits, {} vm cache hits",
-        stats.eval_reuse() * 100.0,
-        stats.eval_hits,
-        stats.eval_misses,
         stats.nodes_measured,
         stats.cells_total,
         stats.eval_us,

@@ -24,7 +24,6 @@
 //! code does, the session has something to show.
 
 use crate::fault_log::FaultLog;
-use crate::memo::{MemoCache, MemoStats};
 use crate::metrics::SessionMetrics;
 use crate::pipeline::{FramePipeline, FrameStats};
 use crate::protocol::SessionCommand;
@@ -181,13 +180,11 @@ impl std::fmt::Display for TxError {
 
 impl std::error::Error for TxError {}
 
-/// A live programming session: source text + running system + optional
-/// render cache.
+/// A live programming session: source text + running system.
 #[derive(Debug)]
 pub struct LiveSession {
     source: String,
     system: System,
-    memo: Option<MemoCache>,
     updates_applied: u64,
     updates_rejected: u64,
     /// Per-keystroke compiler with an item-granular parse cache.
@@ -246,16 +243,7 @@ impl LiveSession {
     ///
     /// Compilation diagnostics if the initial program is ill-formed.
     pub fn new(source: &str) -> Result<Self, SessionError> {
-        Self::with_options(source, SystemConfig::default(), false)
-    }
-
-    /// Start a session with the §5 render cache enabled.
-    ///
-    /// # Errors
-    ///
-    /// See [`LiveSession::new`].
-    pub fn with_memo(source: &str) -> Result<Self, SessionError> {
-        Self::with_options(source, SystemConfig::default(), true)
+        Self::with_options(source, SystemConfig::default())
     }
 
     /// Start a session with explicit system configuration.
@@ -263,17 +251,13 @@ impl LiveSession {
     /// # Errors
     ///
     /// See [`LiveSession::new`].
-    pub fn with_options(
-        source: &str,
-        config: SystemConfig,
-        memo: bool,
-    ) -> Result<Self, SessionError> {
+    pub fn with_options(source: &str, config: SystemConfig) -> Result<Self, SessionError> {
         let program = compile(source).map_err(SessionError::Compile)?;
-        Ok(Self::with_shared_program(
+        Ok(Self::with_shared_program_observed(
             source,
-            std::sync::Arc::new(program),
+            Arc::new(program),
             config,
-            memo,
+            None,
         ))
     }
 
@@ -282,31 +266,19 @@ impl LiveSession {
     /// session born from it. The caller vouches that `program` is the
     /// compilation of `source` (a mismatch shows up as confusing
     /// navigation spans, not unsoundness: the system only runs the
-    /// program it is given).
-    pub fn with_shared_program(
-        source: &str,
-        program: Arc<alive_core::Program>,
-        config: SystemConfig,
-        memo: bool,
-    ) -> Self {
-        Self::with_shared_program_observed(source, program, config, memo, None)
-    }
-
-    /// [`LiveSession::with_shared_program`] with observability: when a
-    /// [`Registry`] is given, system- and session-level metrics are
-    /// resolved from it and every frame timing runs on its clock (a
-    /// [`alive_obs::ManualClock`] makes the whole session's metrics
-    /// deterministic). Attaching at construction — before the first
-    /// transition — is what lets `system.display_sets` reconcile
-    /// exactly with [`System::display_generation`].
+    /// program it is given). When a [`Registry`] is given, system- and
+    /// session-level metrics are resolved from it and every frame
+    /// timing runs on its clock (a [`alive_obs::ManualClock`] makes the
+    /// whole session's metrics deterministic). Attaching at construction
+    /// — before the first transition — is what lets
+    /// `system.display_sets` reconcile exactly with
+    /// [`System::display_generation`].
     pub fn with_shared_program_observed(
         source: &str,
         program: Arc<alive_core::Program>,
         config: SystemConfig,
-        memo: bool,
         registry: Option<&Registry>,
     ) -> Self {
-        let memo = memo.then(|| MemoCache::new(&program));
         let mut system = System::with_shared_program(program, config);
         let mut pipeline = FramePipeline::new();
         let mut clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
@@ -319,7 +291,6 @@ impl LiveSession {
         let mut session = LiveSession {
             source: source.to_string(),
             system,
-            memo,
             updates_applied: 0,
             updates_rejected: 0,
             compiler: IncrementalCompiler::new(),
@@ -351,7 +322,6 @@ impl LiveSession {
     pub fn observed(
         source: &str,
         config: SystemConfig,
-        memo: bool,
         registry: &Registry,
     ) -> Result<Self, SessionError> {
         let program = compile(source).map_err(SessionError::Compile)?;
@@ -359,7 +329,6 @@ impl LiveSession {
             source,
             Arc::new(program),
             config,
-            memo,
             Some(registry),
         ))
     }
@@ -385,24 +354,15 @@ impl LiveSession {
         (self.updates_applied, self.updates_rejected)
     }
 
-    /// Render-cache statistics, if the cache is enabled.
-    pub fn memo_stats(&self) -> Option<MemoStats> {
-        self.memo.as_ref().map(MemoCache::stats)
-    }
-
-    /// Frame-pipeline statistics: evaluation reuse and the layout and
-    /// paint work of the last [`LiveSession::live_view`] frame, per-stage
-    /// timings, and lifetime frame, layout and view-memo counts.
+    /// Frame-pipeline statistics: the layout and paint work of the last
+    /// [`LiveSession::live_view`] frame, per-stage timings, and lifetime
+    /// frame, layout and view-memo counts.
     pub fn frame_stats(&self) -> FrameStats {
         let mut stats = self.pipeline.stats();
         stats.eval_us = self.last_eval_us;
         stats.eval_compile_us = self.last_compile_us;
         stats.eval_exec_us = self.last_eval_us.saturating_sub(self.last_compile_us);
         stats.vm_cache_hits = self.system.vm_stats().cache_hits;
-        if let Some(memo) = self.memo_stats() {
-            stats.eval_hits = memo.hits;
-            stats.eval_misses = memo.misses;
-        }
         stats
     }
 
@@ -459,23 +419,13 @@ impl LiveSession {
     pub fn refresh(&mut self) {
         // Drive the system step by step, with the cascade bound of
         // `System::run_to_stable`, so every RENDER is timed for the
-        // frame it builds and goes through the §5 cache when the
-        // session has one.
+        // frame it builds.
         let budget = self.system.config().max_transitions;
         let mut steps = 0u64;
         let mut contained_overflow = false;
         loop {
             let outcome = if self.render_pending() {
-                let mut memo = self.memo.take();
-                let outcome = self.timed_render(|system| match memo.as_mut() {
-                    Some(memo) => {
-                        memo.begin_render(system.store(), system.version());
-                        system.render_with_hook(memo).map(|_| StepKind::Render)
-                    }
-                    None => system.step(),
-                });
-                self.memo = memo;
-                outcome
+                self.timed_render(System::step)
             } else {
                 self.system.step()
             };
@@ -671,9 +621,6 @@ impl LiveSession {
                 return EditOutcome::Rejected(diags);
             }
         };
-        if let Some(memo) = self.memo.as_mut() {
-            memo.on_update(self.system.program(), self.system.version());
-        }
         let old_source = std::mem::replace(&mut self.source, new_source.to_string());
         let faults_before = self.faults.total();
         self.refresh();
@@ -691,11 +638,6 @@ impl LiveSession {
             self.source = old_source;
             // The probe cache may be keyed to the quarantined version.
             self.examples.invalidate();
-            if let Some(memo) = self.memo.as_mut() {
-                // The cache may hold entries keyed to the quarantined
-                // version; rebuild it against the restored program.
-                *memo = MemoCache::new(self.system.program());
-            }
             self.updates_rejected += 1;
             return EditOutcome::Quarantined { fault, report };
         }
@@ -865,9 +807,6 @@ impl LiveSession {
         if let Err(e) = self.system.update_shared(program) {
             return FleetUpdateOutcome::Failed(e.to_string());
         }
-        if let Some(memo) = self.memo.as_mut() {
-            memo.on_update(self.system.program(), self.system.version());
-        }
         self.source = new_source.to_string();
         self.updates_applied += 1;
         let faults_before = self.faults.total();
@@ -906,11 +845,6 @@ impl LiveSession {
         self.updates_rejected = checkpoint.updates_rejected;
         self.pending_txs = checkpoint.pending_txs;
         self.next_tx = checkpoint.next_tx;
-        if let Some(memo) = self.memo.as_mut() {
-            // The cache holds entries keyed to the reverted version;
-            // rebuild it against the restored program.
-            *memo = MemoCache::new(self.system.program());
-        }
         // The view memo is display-generation-keyed and the restored
         // system's generation rolls *backward* — a stale pipeline would
         // serve the canary frame for a restored generation. Rebuild it.
@@ -1118,6 +1052,48 @@ impl std::fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
+// The repo benchmark (`livebench/`, which is not edited outside a
+// benchmark change) still calls these three entry points of the deleted
+// render memo. Delete this block with the next change to the benchmark.
+
+/// Render-memo counters: always absent, there is no render memo.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Memo hits.
+    pub hits: u64,
+    /// Memo misses.
+    pub misses: u64,
+}
+
+#[doc(hidden)]
+impl LiveSession {
+    /// [`LiveSession::new`].
+    ///
+    /// # Errors
+    ///
+    /// See [`LiveSession::new`].
+    pub fn with_memo(source: &str) -> Result<Self, SessionError> {
+        Self::new(source)
+    }
+
+    /// [`LiveSession::with_shared_program_observed`] without a registry;
+    /// the `bool` is ignored.
+    pub fn with_shared_program(
+        source: &str,
+        program: Arc<Program>,
+        config: SystemConfig,
+        _memo: bool,
+    ) -> Self {
+        Self::with_shared_program_observed(source, program, config, None)
+    }
+
+    /// Always `None`.
+    pub fn memo_stats(&self) -> Option<MemoStats> {
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1145,35 +1121,27 @@ page start() {
     fn frame_eval_time_is_the_render_that_built_the_frame() {
         const TICK: u64 = 7;
         let registry = Registry::with_clock(Arc::new(alive_obs::ManualClock::with_auto_step(TICK)));
-        for memo in [false, true] {
-            let program = Arc::new(compile(APP).expect("compiles"));
-            let mut session = LiveSession::with_shared_program_observed(
-                APP,
-                program,
-                SystemConfig::default(),
-                memo,
-                Some(&registry),
-            );
-            session.live_view();
-            session.tap_path(&[0]).expect("tap");
-            let view = session.live_view();
-            assert!(view.contains("count is 11"), "{view}");
-            let stats = session.frame_stats();
-            assert_eq!(stats.eval_us, TICK, "memo={memo}: {stats:?}");
-            assert_eq!(stats.eval_compile_us, 0);
-            assert_eq!(stats.eval_exec_us, stats.eval_us);
+        let mut session =
+            LiveSession::observed(APP, SystemConfig::default(), &registry).expect("compiles");
+        session.live_view();
+        session.tap_path(&[0]).expect("tap");
+        let view = session.live_view();
+        assert!(view.contains("count is 11"), "{view}");
+        let stats = session.frame_stats();
+        assert_eq!(stats.eval_us, TICK, "{stats:?}");
+        assert_eq!(stats.eval_compile_us, 0);
+        assert_eq!(stats.eval_exec_us, stats.eval_us);
 
-            // After an edit the RENDER also compiles the new version's
-            // bytecode, which reads the clock twice more: one tick of
-            // compile inside three ticks of RENDER.
-            let edited = APP.replace("count is ", "count: ");
-            assert!(session.edit_source(&edited).is_applied());
-            session.live_view();
-            let stats = session.frame_stats();
-            assert_eq!(stats.eval_us, 3 * TICK, "memo={memo}: {stats:?}");
-            assert_eq!(stats.eval_compile_us, TICK);
-            assert_eq!(stats.eval_exec_us, 2 * TICK);
-        }
+        // After an edit the RENDER also compiles the new version's
+        // bytecode, which reads the clock twice more: one tick of
+        // compile inside three ticks of RENDER.
+        let edited = APP.replace("count is ", "count: ");
+        assert!(session.edit_source(&edited).is_applied());
+        session.live_view();
+        let stats = session.frame_stats();
+        assert_eq!(stats.eval_us, 3 * TICK, "{stats:?}");
+        assert_eq!(stats.eval_compile_us, TICK);
+        assert_eq!(stats.eval_exec_us, 2 * TICK);
     }
 
     #[test]
@@ -1279,36 +1247,6 @@ page start() {
     }
 
     #[test]
-    fn memo_session_produces_identical_views() {
-        let src = r#"
-global items : list (string, number) = []
-global sel : number = 0
-page start() {
-    init { items := web.listings(20); }
-    render {
-        boxed { post "selected " ++ sel; }
-        foreach entry in items {
-            boxed {
-                post entry.1 ++ " $" ++ entry.2;
-                on tap { sel := sel + 1; }
-            }
-        }
-    }
-}
-"#;
-        let mut plain = LiveSession::new(src).expect("starts");
-        let mut memo = LiveSession::with_memo(src).expect("starts");
-        assert_eq!(plain.live_view(), memo.live_view());
-        for _ in 0..3 {
-            plain.tap_path(&[1]).expect("tap");
-            memo.tap_path(&[1]).expect("tap");
-            assert_eq!(plain.live_view(), memo.live_view());
-        }
-        let stats = memo.memo_stats().expect("enabled");
-        assert!(stats.hits > 0, "listing rows should be reused: {stats:?}");
-    }
-
-    #[test]
     fn undo_redo_are_update_transitions() {
         let mut s = LiveSession::new(APP).expect("starts");
         s.tap_path(&[0]).expect("tap"); // count = 11
@@ -1354,7 +1292,7 @@ page start() {
     }
 }
 "#;
-        let mut s = LiveSession::with_memo(src).expect("starts");
+        let mut s = LiveSession::new(src).expect("starts");
         let before = s.live_view();
         // A repeated read of the unchanged display is a view-memo hit.
         let again = s.live_view();
@@ -1362,8 +1300,7 @@ page start() {
         let stats = s.frame_stats();
         assert_eq!((stats.frames, stats.view_hits, stats.layouts), (1, 1, 1));
 
-        // A tap changes one header row: evaluation reuses the listing
-        // rows through the memo, and the new display is laid out and
+        // A tap changes one header row: the new display is laid out and
         // painted once, in full.
         s.tap_path(&[1]).expect("tap");
         let view = s.live_view();
@@ -1373,10 +1310,6 @@ page start() {
         assert_eq!(stats.nodes_measured, 14, "root, header and 12 rows");
         assert_eq!(stats.nodes_reused, 0);
         assert_eq!(stats.cells_repainted, stats.cells_total);
-        assert!(
-            stats.eval_hits > 0,
-            "memo splices skip evaluation: {stats:?}"
-        );
     }
 
     /// The hit-test of a tap reuses the layout of the frame it lands
@@ -1420,7 +1353,7 @@ page start() {
 
     #[test]
     fn pipeline_view_is_byte_identical_to_from_scratch() {
-        let mut s = LiveSession::with_memo(APP).expect("starts");
+        let mut s = LiveSession::new(APP).expect("starts");
         for i in 0..4 {
             if i > 0 {
                 s.tap_path(&[0]).expect("tap");
@@ -1435,10 +1368,9 @@ page start() {
     }
 
     #[test]
-    fn memo_overflow_tail_renders_through_the_cache() {
+    fn overflow_containment_tail_render_lands() {
         // The init cascade pushes forever; containment must drop the
-        // queue and the *tail* render must still go through the memo
-        // hook rather than falling off the fast path.
+        // queue and the *tail* render must still run and be drawn.
         let loopy = r#"
 page start() {
     init { push start(); }
@@ -1449,27 +1381,21 @@ page start() {
             max_transitions: 40,
             ..SystemConfig::default()
         };
-        let mut s = LiveSession::with_options(loopy, config, true).expect("starts");
+        let mut s = LiveSession::with_options(loopy, config).expect("starts");
         assert!(
             s.fault_log()
                 .iter()
                 .any(|f| f.kind == alive_core::FaultKind::CascadeOverflow),
             "overflow was contained and logged"
         );
-        // The machine settled: the containment tail rendered the page…
+        // The machine settled: the containment tail rendered the page.
         assert_eq!(s.live_view(), "landed\n");
         assert!(s.system().is_stable());
-        // …and that render went through the cache hook.
-        let memo = s.memo_stats().expect("memo session");
-        assert!(
-            memo.hits + memo.misses + memo.uncacheable > 0,
-            "tail render must hit the RenderHook: {memo:?}"
-        );
     }
 
     #[test]
-    fn memo_cache_cleared_on_update() {
-        let mut s = LiveSession::with_memo(APP).expect("starts");
+    fn update_after_a_tap_renders_the_new_code() {
+        let mut s = LiveSession::new(APP).expect("starts");
         s.tap_path(&[0]).expect("tap");
         let outcome = s.edit_source(&APP.replace("count is", "total:"));
         assert!(outcome.is_applied());

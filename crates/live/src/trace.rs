@@ -150,7 +150,7 @@ impl RecordingSession {
     }
 
     /// Start a recording session whose metrics resolve from `registry`
-    /// (default config, no memo) — see [`LiveSession::observed`].
+    /// (default config) — see [`LiveSession::observed`].
     ///
     /// # Errors
     ///
@@ -160,7 +160,6 @@ impl RecordingSession {
             session: LiveSession::observed(
                 source,
                 alive_core::system::SystemConfig::default(),
-                false,
                 registry,
             )?,
             trace: SessionTrace::new(source),

@@ -78,7 +78,7 @@ impl Gauge {
 }
 
 /// Default bucket upper bounds (µs) for latency histograms: tuned for a
-/// live loop whose interesting range spans "memo hit" (~µs) to "cold
+/// live loop whose interesting range spans "cached view read" (~µs) to "cold
 /// compile under load" (~100ms). The final implicit bucket is overflow.
 pub const DEFAULT_LATENCY_BOUNDS_US: &[u64] = &[
     10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000,

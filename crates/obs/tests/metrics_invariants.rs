@@ -55,7 +55,6 @@ fn observed_session(registry: &Registry) -> LiveSession {
             fuel: 50_000,
             max_transitions: 500,
         },
-        false,
         registry,
     )
     .expect("APP compiles")
@@ -164,7 +163,6 @@ fn fault_counters_reconcile_with_the_fault_log_by_kind() {
             fuel: 50_000,
             max_transitions: 500,
         },
-        false,
         &registry,
     )
     .expect("compiles");

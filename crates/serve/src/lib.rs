@@ -196,8 +196,6 @@ pub struct HostConfig {
     pub workers: usize,
     /// System configuration handed to every hosted session.
     pub system: SystemConfig,
-    /// Whether hosted sessions enable the §5 render memo cache.
-    pub memo: bool,
     /// Whether the host records metrics (host-level and per-session).
     /// Off, no [`Registry`] exists anywhere: sessions run exactly as
     /// before this field did — the bench's baseline arm.
@@ -218,7 +216,6 @@ impl Default for HostConfig {
         HostConfig {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             system: SystemConfig::default(),
-            memo: false,
             metrics: true,
             mailbox_capacity: 1024,
             rollout: RolloutConfig::default(),
@@ -853,7 +850,6 @@ impl SessionHost {
             source,
             program,
             self.inner.config.system,
-            self.inner.config.memo,
             registry.as_ref(),
         );
         if let Some(metrics) = &self.inner.metrics {

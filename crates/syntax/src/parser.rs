@@ -53,12 +53,30 @@ pub fn parse_expr(src: &str) -> Result<Expr, Diagnostics> {
 }
 
 /// The parser's nesting budget: expressions and blocks nested deeper
-/// than this are rejected with one diagnostic instead of parsed. Every
-/// later pass (lowering, type checking, bytecode compilation) recurses
-/// once per nesting level, and 128 levels keep a whole compile of the
-/// deepest accepted program well inside a 2 MiB thread stack even in
-/// unoptimized builds, so no source text can overflow the stack.
+/// than this (an `else if` counts as one level) are rejected with one
+/// diagnostic instead of parsed. Every later pass (lowering, type
+/// checking, bytecode compilation) recurses once per nesting level.
+/// Measured on a 2 MiB thread, starting a session on the deepest
+/// accepted program needs at most about 230 KiB of stack in an
+/// optimized build (nested `if` statements, the costliest construct at
+/// about 1.8 KiB a level). An unoptimized build needs about 10.5 KiB a
+/// level for most constructs and about 21 KiB for nested `if`
+/// statements, so only about 95 nested `if`s fit on that thread.
 pub const MAX_NESTING: usize = 128;
+
+/// The parser's statement-chain budget: a block is rejected with one
+/// diagnostic once it holds more than this many statements, counting
+/// the statements of every enclosing block before it. Lowering turns a
+/// block into a chain of `let`/`seq` nodes that lowering, type checking
+/// and bytecode compilation each recurse along, so the chain is a
+/// nesting of its own. Measured on a 2 MiB thread (`LiveSession::new`
+/// on a block of N flat statements), an unoptimized build needs about
+/// 10.5 KiB of stack per statement and overflows at about 190
+/// statements; an optimized build needs about 0.75 KiB and overflows
+/// at about 2,700. At 128 statements a session starts in about 1.4 MiB
+/// unoptimized and 0.1 MiB optimized, which leaves room on a 2 MiB
+/// thread for the nesting inside the last statement.
+pub const MAX_STATEMENTS: usize = 128;
 
 struct Parser {
     tokens: Vec<Token>,
@@ -66,7 +84,10 @@ struct Parser {
     diags: Diagnostics,
     /// Current expression/block nesting (see [`MAX_NESTING`]).
     depth: usize,
-    /// Set once the budget is exceeded: the rest of the input is
+    /// Statements parsed so far in every open block (see
+    /// [`MAX_STATEMENTS`]).
+    statements: usize,
+    /// Set once a budget is exceeded: the rest of the input is
     /// skipped and no further diagnostics are reported.
     too_deep: bool,
 }
@@ -78,6 +99,7 @@ impl Parser {
             pos: 0,
             diags,
             depth: 0,
+            statements: 0,
             too_deep: false,
         }
     }
@@ -88,14 +110,19 @@ impl Parser {
         if self.depth + levels <= MAX_NESTING {
             return true;
         }
+        self.over_budget(format!(
+            "nesting deeper than {MAX_NESTING} levels; split the expression or block"
+        ));
+        false
+    }
+
+    /// Report a blown budget (once) and skip to the end of the input.
+    fn over_budget(&mut self, message: String) {
         if !self.too_deep {
-            self.error(format!(
-                "nesting deeper than {MAX_NESTING} levels; split the expression or block"
-            ));
+            self.error(message);
             self.too_deep = true;
         }
         self.pos = self.tokens.len().saturating_sub(1);
-        false
     }
 
     fn peek(&self) -> &TokenKind {
@@ -437,11 +464,22 @@ impl Parser {
         let start = self.expect(TokenKind::LBrace);
         let mut stmts = Vec::new();
         let mut tail: Option<Box<Expr>> = None;
+        let open = self.statements;
         while !self.at(&TokenKind::RBrace) && !self.at(&TokenKind::Eof) {
             let before = self.pos;
             if let Some(stmt_or_tail) = self.stmt_or_tail() {
                 match stmt_or_tail {
-                    StmtOrTail::Stmt(s) => stmts.push(s),
+                    StmtOrTail::Stmt(s) => {
+                        stmts.push(s);
+                        self.statements += 1;
+                        if self.statements > MAX_STATEMENTS {
+                            self.over_budget(format!(
+                                "more than {MAX_STATEMENTS} statements in a row, counting \
+                                 those of the enclosing blocks; split the block into functions"
+                            ));
+                            break;
+                        }
+                    }
                     StmtOrTail::Tail(e) => {
                         tail = Some(Box::new(e));
                         break;
@@ -452,6 +490,7 @@ impl Parser {
                 self.bump();
             }
         }
+        self.statements = open;
         let end = self.expect(TokenKind::RBrace);
         Block {
             stmts,
@@ -604,19 +643,24 @@ impl Parser {
         let cond = self.expr();
         let then_block = self.block();
         let else_block = if self.eat(TokenKind::Else) {
-            if self.at(&TokenKind::If) {
-                // `else if ...` — wrap the nested if in a synthetic block.
+            if !self.at(&TokenKind::If) {
+                Some(self.block())
+            } else if !self.nest(1) {
+                None
+            } else {
+                // `else if ...` — wrap the nested if in a synthetic block,
+                // one nesting level deeper.
                 let nested_start = self.span();
                 self.bump();
+                self.depth += 1;
                 let nested = self.if_stmt(nested_start);
+                self.depth -= 1;
                 let span = nested.span;
                 Some(Block {
                     stmts: vec![nested],
                     tail: None,
                     span,
                 })
-            } else {
-                Some(self.block())
             }
         } else {
             None

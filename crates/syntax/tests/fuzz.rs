@@ -245,3 +245,93 @@ fn parser_is_total_on_deep_nesting() {
         },
     );
 }
+
+/// One statement of a long block, drawn from the forms a page body
+/// holds; `i` keeps the names distinct.
+fn statement(rng: &mut Rng, i: usize) -> String {
+    match rng.below(5) {
+        0 => format!("let a{i} = {i};"),
+        1 => format!("g := g + {i};"),
+        2 => format!("post \"row {i}\";"),
+        3 => format!("boxed {{ post {i}; }}"),
+        _ => format!("f({i});"),
+    }
+}
+
+/// A long block: `before` statements, then an `if` whose block holds
+/// `inner` statements, then `after` statements. Returns the source and
+/// the longest statement chain in it — what the parser counts against
+/// `MAX_STATEMENTS`: an inner statement follows the `before` ones, and
+/// the `if` itself counts once its block closes.
+fn long_block(rng: &mut Rng) -> (String, usize) {
+    let mut len = || match rng.below(4) {
+        0 => rng.below(alive_syntax::MAX_STATEMENTS / 2),
+        1 => rng.below(2 * alive_syntax::MAX_STATEMENTS),
+        2 => rng.below(5_000),
+        _ => rng.below(100_000),
+    };
+    let (before, inner, after) = (len(), len() / 8, len() / 8);
+    let mut body = String::new();
+    let mut i = 0;
+    let mut push = |body: &mut String, rng: &mut Rng, n: usize| {
+        for _ in 0..n {
+            body.push_str(&statement(rng, i));
+            body.push('\n');
+            i += 1;
+        }
+    };
+    push(&mut body, rng, before);
+    body.push_str("if g == 0 {\n");
+    push(&mut body, rng, inner);
+    body.push_str("}\n");
+    push(&mut body, rng, after);
+    let chain = (before + inner).max(before + 1 + after);
+    (format!("page start() {{ init {{\n{body}}} }}"), chain)
+}
+
+#[test]
+fn parser_is_total_on_long_input() {
+    // The measured crash: 5,000 flat `let`s overflowed a 2 MiB thread
+    // in the passes after the parser; 100,000 overflowed a host worker.
+    let lets: String = (0..100_000).map(|i| format!("let a{i} = {i};\n")).collect();
+    let result = parse_program(&format!("page start() {{ init {{\n{lets}}} }}"));
+    let diagnostics = result.diagnostics.into_vec();
+    assert_eq!(diagnostics.len(), 1, "one diagnostic, no cascade");
+    assert!(
+        diagnostics[0].message.contains("statements"),
+        "{diagnostics:?}"
+    );
+
+    // A 100,000-link `else if` chain nests: it is bounded by the
+    // nesting budget, not parsed by recursion.
+    let chain =
+        "if g == 0 { g := 0; }".to_string() + &" else if g == 1 { g := 1; }".repeat(100_000);
+    let result = parse_program(&format!("page start() {{ init {{ {chain} }} }}"));
+    assert_eq!(result.diagnostics.into_vec().len(), 1, "else-if chain");
+
+    prop::check(
+        "parser_is_total_on_long_input",
+        prop::Config::with_cases(64),
+        |rng| NoShrink(long_block(rng)),
+        |case: &NoShrink<(String, usize)>| {
+            let (src, chain) = &case.0;
+            let result = parse_program(src);
+            let _ = pretty_program(&result.program);
+            if *chain > alive_syntax::MAX_STATEMENTS {
+                let diagnostics = result.diagnostics.into_vec();
+                prop_assert_eq!(diagnostics.len(), 1);
+                prop_assert!(
+                    diagnostics[0].message.contains("statements"),
+                    "{chain} statements must be rejected: {diagnostics:?}"
+                );
+            } else {
+                prop_assert!(
+                    result.is_ok(),
+                    "{chain} statements must parse: {}",
+                    result.diagnostics.render(src)
+                );
+            }
+            Ok(())
+        },
+    );
+}

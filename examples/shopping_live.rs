@@ -1,6 +1,6 @@
 //! A second realistic app: the shopping list, driven by screen
 //! coordinates (hit-testing) rather than box paths, with a live edit
-//! mid-session and the §5 render cache enabled.
+//! mid-session.
 //!
 //! Run with `cargo run --example shopping_live`.
 
@@ -8,7 +8,7 @@ use its_alive::apps::SHOPPING_SRC;
 use its_alive::live::LiveSession;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut session = LiveSession::with_memo(SHOPPING_SRC)?;
+    let mut session = LiveSession::new(SHOPPING_SRC)?;
     println!("=== shopping list ===");
     print!("{}", session.live_view());
 
@@ -41,18 +41,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n=== after live edit (model intact) ===");
     print!("{}", session.live_view());
 
-    // Add twice; the memo cache reuses untouched rows.
+    // Add apples by coordinates too.
     let view = session.live_view();
     let add_row = view
         .lines()
         .position(|l| l.contains("add apples"))
         .expect("visible") as i32;
     assert!(session.tap_at(1, add_row)?);
-    if let Some(stats) = session.memo_stats() {
-        println!(
-            "\nrender cache: {} hits, {} misses ({} statically uncacheable)",
-            stats.hits, stats.misses, stats.uncacheable
-        );
-    }
+    println!("\n=== after adding apples ===");
+    print!("{}", session.live_view());
     Ok(())
 }

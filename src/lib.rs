@@ -11,11 +11,11 @@
 //!
 //! * [`syntax`] — lexer, parser, AST, pretty-printer, text edits;
 //! * [`core`] — the formal model: type-and-effect system, small-step
-//!   and big-step semantics, the system transition relation (STARTUP /
+//!   semantics, the bytecode VM, the system transition relation (STARTUP /
 //!   TAP / BACK / THUNK / PUSH / POP / RENDER / UPDATE), state fix-up;
 //! * [`ui`] — layout, text rendering, hit-testing;
 //! * [`live`] — live sessions, UI↔code navigation, direct
-//!   manipulation, render memoization;
+//!   manipulation, the frame pipeline;
 //! * [`obs`] — zero-dependency metrics and span tracing (counters,
 //!   gauges, latency histograms, serializable snapshots);
 //! * [`baseline`] — edit-compile-run, fix-and-continue, and

@@ -1,6 +1,6 @@
 //! Babylonian example probes are a *measured* property of the session:
 //! this suite pins the probe lines byte-for-byte against the small-step
-//! reference semantics and across the memo hit/recompute paths.
+//! reference semantics and across the probe cache's hit/recompute paths.
 //!
 //! The probes feed the repl's `:examples` and the alive-watch side
 //! panel, so "byte-identical" here is exactly "the user sees the same

@@ -13,8 +13,9 @@
 //!    `live_view()` always renders and handler faults never leak into
 //!    the store;
 //! 5. recursion past the VM's call-depth budget is a contained fault,
-//!    never a stack overflow — in a solo session and in a host, whose
-//!    other sessions keep serving.
+//!    and source past the parser's nesting and statement-chain budgets
+//!    a rejected edit, never a stack overflow — in a solo session and
+//!    in a host, whose other sessions keep serving.
 //!
 //! All walks run on the `alive-testkit` property harness: failures
 //! print a seed, and `ALIVE_TESTKIT_SEED=<seed> cargo test` replays
@@ -39,7 +40,6 @@ fn fast_session(source: &str) -> Result<LiveSession, its_alive::live::SessionErr
             fuel: 50_000,
             max_transitions: 500,
         },
-        false,
     )
 }
 
@@ -430,7 +430,6 @@ fn corpus_walk_with_faults_never_kills_any_scenario() {
                         fuel: 500_000,
                         max_transitions: 500,
                     },
-                    false,
                 )
                 .unwrap_or_else(|e| panic!("{name} starts: {e}"));
                 let mut plan = FaultPlan::new();
@@ -617,6 +616,88 @@ fn too_deeply_nested_edit_is_rejected_with_a_diagnostic() {
     }
     assert_eq!(session.source(), APP, "the old program keeps running");
     assert_eq!(session.live_view(), before_view);
+}
+
+/// `APP` with `n` flat statements after the one box of the detail
+/// page's render block: a chain of `n + 1` statements.
+fn with_statements(n: usize) -> String {
+    let lets: String = (0..n).map(|i| format!("let a{i} = {i};\n")).collect();
+    APP.replacen(
+        "on tap { pop; } }",
+        &format!("on tap {{ pop; }} }}\n{lets}"),
+        1,
+    )
+}
+
+/// Run `f` on a thread with the default 2 MiB stack of a spawned thread,
+/// whatever `RUST_MIN_STACK` says.
+fn on_2mib_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .expect("spawns")
+        .join()
+        .expect("no panic")
+}
+
+#[test]
+fn over_long_statement_chain_is_rejected_and_one_at_the_budget_runs() {
+    // 100,000 flat statements used to overflow the stack in lowering,
+    // type checking and bytecode compilation — a process abort, even on
+    // a 64 MiB host worker. Now the parser rejects the edit.
+    on_2mib_thread(|| {
+        let mut session = LiveSession::new(APP).expect("starts");
+        let before_view = session.live_view();
+        match session.edit_source(&with_statements(100_000)) {
+            EditOutcome::Rejected(diags) => {
+                let text = diags.to_string();
+                assert!(text.contains("statements in a row"), "{text}");
+            }
+            other => panic!("a 100,000-statement edit must be rejected: {other:?}"),
+        }
+        assert_eq!(session.source(), APP, "the old program keeps running");
+        assert_eq!(session.live_view(), before_view);
+
+        // A chain at the budget compiles and runs on the same thread.
+        let edited = with_statements(its_alive::syntax::MAX_STATEMENTS - 1);
+        let outcome = session.edit_source(&edited);
+        assert!(outcome.is_applied(), "{outcome:?}");
+        let one_over = with_statements(its_alive::syntax::MAX_STATEMENTS);
+        assert!(matches!(
+            session.edit_source(&one_over),
+            EditOutcome::Rejected(_)
+        ));
+        session.tap_path(&[1]).expect("open detail");
+        assert!(session.live_view().contains("detail of 0"));
+    });
+}
+
+#[test]
+fn over_long_statement_chain_in_one_hosted_session_leaves_the_others_serving() {
+    use alive_serve::{HostConfig, SessionHost};
+    use its_alive::live::{SessionCommand, SessionEffect};
+
+    let host = SessionHost::new(HostConfig::with_workers(2));
+    let ids: Vec<_> = (0..3)
+        .map(|_| host.create_session(APP).expect("compiles"))
+        .collect();
+    let before = host.latest_frame(ids[0]).expect("live").expect("settled");
+    let effects = host
+        .apply(ids[0], SessionCommand::EditSource(with_statements(100_000)))
+        .expect("the edit is answered");
+    assert!(
+        matches!(effects.as_slice(), [SessionEffect::EditRejected(_)]),
+        "{effects:?}"
+    );
+    let after = host.latest_frame(ids[0]).expect("live").expect("settled");
+    assert_eq!(after.view, before.view, "last good view stays");
+    for &id in &ids {
+        host.apply(id, SessionCommand::TapPath(vec![0]))
+            .expect("taps");
+        let frame = host.latest_frame(id).expect("live").expect("settled");
+        assert!(frame.view.contains("count is 1"), "{}", frame.view);
+    }
+    host.shutdown();
 }
 
 #[test]

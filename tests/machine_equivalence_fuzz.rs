@@ -139,7 +139,6 @@ fn machines_agree_on_generated_programs() {
                 &[],
                 None,
                 None,
-                None,
             )
             .result
             .expect("vm render");

@@ -45,7 +45,6 @@ fn record() -> MetricsSnapshot {
             fuel: 50_000,
             max_transitions: 500,
         },
-        false,
         &registry,
     )
     .expect("APP compiles");

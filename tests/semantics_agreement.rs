@@ -57,7 +57,6 @@ fn assert_machines_agree(src: &str) {
         &[],
         None,
         None,
-        None,
     )
     .result
     .expect("vm render");

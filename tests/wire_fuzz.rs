@@ -6,11 +6,9 @@
 //! was read for yet. After every batch the session must not have
 //! panicked, and its live view must equal a from-scratch layout and
 //! paint of its display tree. Every session runs inside a
-//! `RecordingSession`, and odd-numbered programs also drive a memoized
-//! session in lockstep. At the end of each program the recorded trace
+//! `RecordingSession`. At the end of each program the recorded trace
 //! must survive serialize then parse unchanged, and its replay must
-//! show the same view, store and source as the live session (and the
-//! memoized one).
+//! show the same view, store and source as the live session.
 //!
 //! Replay a failure with
 //! `ALIVE_TESTKIT_SEED=0x… cargo test --test wire_fuzz`.
@@ -162,36 +160,18 @@ fn check_replay(
     Ok(())
 }
 
-/// Apply a command to the recorded session and, in lockstep, to the
-/// memoized one.
-fn apply(
-    recording: &mut RecordingSession,
-    memo: &mut Option<LiveSession>,
-    command: SessionCommand,
-) {
-    if let Some(memo) = memo {
-        memo.apply(command.clone());
-    }
-    recording.apply(command);
-}
-
 fn walk(seed: u64) -> Result<(), String> {
     let mut rng = Rng::new(seed);
-    for (i, program) in corpus().into_iter().enumerate() {
+    for program in corpus() {
         let name = program.spec.name();
         let original = program.source;
         let compile_error = |e| format!("{name}: corpus program does not compile: {e:?}");
         let mut recording = RecordingSession::new(&original).map_err(compile_error)?;
-        let mut memo = if i % 2 == 1 {
-            Some(LiveSession::with_memo(&original).map_err(compile_error)?)
-        } else {
-            None
-        };
         for batch in 0..BATCHES {
             // Random text first: the parser must answer, never panic.
             if let Ok(commands) = parse_commands(&rng.any_string(120)) {
                 for c in commands {
-                    apply(&mut recording, &mut memo, c);
+                    recording.apply(c);
                 }
             }
             let commands: Vec<SessionCommand> = (0..2 + rng.below(5))
@@ -208,13 +188,10 @@ fn walk(seed: u64) -> Result<(), String> {
                 _ => commands,
             };
             for c in commands {
-                apply(&mut recording, &mut memo, c);
+                recording.apply(c);
             }
             let context = format!("{name} batch {batch}");
             check_view(recording.session_view_mut(), &context)?;
-            if let Some(memo) = memo.as_mut() {
-                check_view(memo, &format!("{context} (memo)"))?;
-            }
         }
         let text = recording.trace().serialize();
         let trace = SessionTrace::parse(&text)
@@ -226,9 +203,6 @@ fn walk(seed: u64) -> Result<(), String> {
             .replay()
             .map_err(|e| format!("{name}: trace does not replay: {e}"))?;
         check_replay(recording.session_view_mut(), &mut replayed, &name)?;
-        if let Some(memo) = memo.as_mut() {
-            check_replay(memo, &mut replayed, &format!("{name} (memo)"))?;
-        }
     }
     Ok(())
 }
